@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "common/state_io.h"
 
 namespace silica {
 namespace {
@@ -26,22 +25,6 @@ void Rng::Seed(uint64_t seed) {
     s = SplitMix64(sm);
   }
   has_cached_normal_ = false;
-}
-
-void Rng::SaveState(StateWriter& w) const {
-  for (uint64_t s : s_) {
-    w.U64(s);
-  }
-  w.Bool(has_cached_normal_);
-  w.F64(cached_normal_);
-}
-
-void Rng::LoadState(StateReader& r) {
-  for (uint64_t& s : s_) {
-    s = r.U64();
-  }
-  has_cached_normal_ = r.Bool();
-  cached_normal_ = r.F64();
 }
 
 Rng Rng::Fork(uint64_t tag) const {

@@ -16,9 +16,6 @@
 
 namespace silica {
 
-class StateReader;
-class StateWriter;
-
 class Rng {
  public:
   explicit Rng(uint64_t seed = 0x5117CA) { Seed(seed); }
@@ -58,11 +55,13 @@ class Rng {
   // Uses an inverted-CDF table cached per (n, s) by the caller via ZipfTable.
   uint64_t Zipf(uint64_t n, double s);
 
-  // Explicit state round-trip: LoadState(w) after SaveState(w) reproduces the
-  // exact draw sequence, including the cached Box-Muller variate, so forked
-  // streams survive checkpoint/restore bit-identically.
-  void SaveState(StateWriter& w) const;
-  void LoadState(StateReader& r);
+  // Checkpoint field list (common/state_io.h): a load after a save reproduces
+  // the exact draw sequence, including the cached Box-Muller variate, so
+  // forked streams survive checkpoint/restore bit-identically.
+  template <class Ar>
+  void Visit(Ar& ar) {
+    ar(s_, has_cached_normal_, cached_normal_);
+  }
 
   // Fisher-Yates shuffle.
   template <typename T>

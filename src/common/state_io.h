@@ -4,78 +4,136 @@
 // boundary as its exact IEEE-754 bit pattern (no text round-trip), every
 // integer as fixed-width little-endian, and the reader fails loudly (throws)
 // on any truncation or type-tag mismatch instead of yielding garbage state.
-// The format is deliberately dumb — a flat tagged stream, no schema evolution
-// — because a snapshot is only ever consumed by the binary that produced it.
+// The format is deliberately dumb — a flat stream, no schema evolution —
+// because a snapshot is only ever consumed by the binary that produced it.
+//
+// One field list per type. Every serialized type defines
+//
+//   template <class Ar> void Visit(Ar& ar);
+//
+// naming each field once, in wire order. StateWriter and StateReader share
+// the field API below, so the same Visit saves and loads and the two
+// directions cannot drift apart:
+//   ar(a, b, ...)  each field by its C++ type: arithmetic values at their
+//                  natural width (bool as one byte), fixed arrays and pairs
+//                  element by element, types with a Visit through it, and
+//                  sequences (vector, deque, set, string) as a Seq;
+//   Seq            U64 length, then each element; optionally length-bounded;
+//   Fixed          a Seq whose length must equal the container's current,
+//                  config-derived size (one entry per drive, partition, ...);
+//   Sorted         an unordered_map / unordered_set as a key-sorted Seq, so
+//                  the bytes never depend on hash-table history;
+//   Enum           a tag stored as one byte, range-checked on load;
+//   Check          a fingerprint (config value, presence flag): written on
+//                  save, compared on load.
+// `Ar::kLoading` guards the few load-side follow-ups that have no save-side
+// counterpart (re-deriving caches, resetting runtime-only handles). A whole
+// object is saved with `StateWriter w; w(object);` and loaded the same way
+// through a StateReader.
+//
+// Every load-side rejection is a std::runtime_error naming what failed:
+// truncation, a length beyond the remaining bytes, a Check mismatch, an Enum
+// tag past its last value, or a Seq/Fixed length outside its bounds.
 #ifndef SILICA_COMMON_STATE_IO_H_
 #define SILICA_COMMON_STATE_IO_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
-#include <deque>
 #include <stdexcept>
-#include <string>
+#include <type_traits>
 #include <vector>
 
 namespace silica {
 
-class StateWriter {
+// The field API shared by both directions. Derived supplies the direction:
+// Scalar, Length and Elements, plus Enum, Check and Sorted.
+template <class Derived>
+class StateArchive {
  public:
-  void U8(uint8_t v) { bytes_.push_back(v); }
-  void Bool(bool v) { U8(v ? 1 : 0); }
-  void U32(uint32_t v) { Raw(&v, sizeof(v)); }
-  void I32(int32_t v) { Raw(&v, sizeof(v)); }
-  void U64(uint64_t v) { Raw(&v, sizeof(v)); }
-  void I64(int64_t v) { Raw(&v, sizeof(v)); }
-  void F64(double v) {
-    uint64_t bits;
-    std::memcpy(&bits, &v, sizeof(bits));
-    U64(bits);  // exact bit pattern, NaN payloads included
-  }
-  void Str(const std::string& s) {
-    U64(s.size());
-    Raw(s.data(), s.size());
+  struct Element {
+    template <class Ar, class T>
+    void operator()(Ar& ar, T& value) const {
+      ar(value);
+    }
+  };
+
+  template <class... T>
+  void operator()(T&... fields) {
+    (Field(fields), ...);
   }
 
-  template <typename T, typename Fn>
-  void Vec(const std::vector<T>& v, Fn&& per_element) {
-    U64(v.size());
-    for (const T& element : v) {
-      per_element(*this, element);
+  template <class C, class Fn = Element>
+  void Seq(C& c, Fn&& fn = Fn{}) {
+    Seq(c, 0, SIZE_MAX, "", fn);
+  }
+  template <class C, class Fn = Element>
+  void Seq(C& c, size_t min_len, size_t max_len, const char* what,
+           Fn&& fn = Fn{}) {
+    const uint64_t n = self().Length(c.size(), min_len, max_len, what);
+    self().Elements(c, n, fn);
+  }
+  template <class C, class Fn = Element>
+  void Fixed(C& c, const char* what, Fn&& fn = Fn{}) {
+    Seq(c, c.size(), c.size(), what, fn);
+  }
+
+ private:
+  Derived& self() { return static_cast<Derived&>(*this); }
+
+  template <class T>
+  void Field(T& v) {
+    using U = std::remove_const_t<T>;
+    static_assert(!std::is_enum_v<U>, "serialize enums with Enum()");
+    if constexpr (std::is_arithmetic_v<U>) {
+      self().Scalar(v);
+    } else if constexpr (std::is_array_v<U>) {
+      for (auto& element : v) {
+        Field(element);
+      }
+    } else if constexpr (requires { v.first; v.second; }) {
+      Field(v.first);
+      Field(v.second);
+    } else if constexpr (requires(U& x, Derived& ar) { x.Visit(ar); }) {
+      // Visit serves both directions, so it is non-const; the writer only
+      // reads through it.
+      const_cast<U&>(v).Visit(self());
+    } else {
+      Seq(v);
     }
   }
-  template <typename T, typename Fn>
-  void Deq(const std::deque<T>& v, Fn&& per_element) {
-    U64(v.size());
-    for (const T& element : v) {
-      per_element(*this, element);
+};
+
+class StateWriter : public StateArchive<StateWriter> {
+ public:
+  static constexpr bool kLoading = false;
+
+  template <class E>
+  void Enum(const E& e, E /*last*/, const char* /*what*/) {
+    Scalar(static_cast<uint8_t>(e));
+  }
+  template <class T>
+  void Check(const T& value, const char* /*what*/) {
+    Scalar(value);
+  }
+  template <class M>
+  void Sorted(M& m) {
+    std::vector<typename M::key_type> keys;
+    keys.reserve(m.size());
+    for (const auto& item : m) {
+      if constexpr (requires { typename M::mapped_type; }) {
+        keys.push_back(item.first);
+      } else {
+        keys.push_back(item);
+      }
     }
-  }
-  void VecU8(const std::vector<uint8_t>& v) {
-    U64(v.size());
-    Raw(v.data(), v.size());
-  }
-  void VecF64(const std::vector<double>& v) {
-    U64(v.size());
-    for (double x : v) {
-      F64(x);
-    }
-  }
-  void VecU64(const std::vector<uint64_t>& v) {
-    U64(v.size());
-    for (uint64_t x : v) {
-      U64(x);
-    }
-  }
-  void VecI32(const std::vector<int32_t>& v) {
-    U64(v.size());
-    for (int32_t x : v) {
-      I32(x);
-    }
-  }
-  void VecInt(const std::vector<int>& v) {
-    U64(v.size());
-    for (int x : v) {
-      I32(x);
+    std::sort(keys.begin(), keys.end());
+    Scalar(static_cast<uint64_t>(keys.size()));
+    for (const auto& key : keys) {
+      Scalar(key);
+      if constexpr (requires { typename M::mapped_type; }) {
+        (*this)(m.find(key)->second);
+      }
     }
   }
 
@@ -83,139 +141,126 @@ class StateWriter {
   std::vector<uint8_t> Take() { return std::move(bytes_); }
 
  private:
-  void Raw(const void* data, size_t size) {
-    const uint8_t* p = static_cast<const uint8_t*>(data);
-    bytes_.insert(bytes_.end(), p, p + size);
+  friend class StateArchive<StateWriter>;
+
+  template <class T>
+  void Scalar(const T& v) {
+    if constexpr (std::is_same_v<T, bool>) {
+      bytes_.push_back(v ? 1 : 0);
+    } else {
+      const uint8_t* p = reinterpret_cast<const uint8_t*>(&v);
+      bytes_.insert(bytes_.end(), p, p + sizeof(v));
+    }
+  }
+  uint64_t Length(size_t n, size_t /*min*/, size_t /*max*/,
+                  const char* /*what*/) {
+    Scalar(static_cast<uint64_t>(n));
+    return n;
+  }
+  template <class C, class Fn>
+  void Elements(C& c, uint64_t /*n*/, Fn& fn) {
+    for (auto& element : c) {
+      fn(*this, element);
+    }
   }
 
   std::vector<uint8_t> bytes_;
 };
 
-class StateReader {
+class StateReader : public StateArchive<StateReader> {
  public:
+  static constexpr bool kLoading = true;
+
   explicit StateReader(const std::vector<uint8_t>& bytes) : bytes_(bytes) {}
 
-  uint8_t U8() {
-    Need(1);
-    return bytes_[pos_++];
+  template <class E>
+  void Enum(E& e, E last, const char* what) {
+    uint8_t tag = 0;
+    Scalar(tag);
+    if (tag > static_cast<uint8_t>(last)) {
+      throw std::runtime_error(what);
+    }
+    e = static_cast<E>(tag);
   }
-  bool Bool() { return U8() != 0; }
-  uint32_t U32() {
-    uint32_t v;
-    Raw(&v, sizeof(v));
-    return v;
+  template <class T>
+  void Check(const T& expected, const char* what) {
+    T got{};
+    Scalar(got);
+    if (got != expected) {
+      throw std::runtime_error(what);
+    }
   }
-  int32_t I32() {
-    int32_t v;
-    Raw(&v, sizeof(v));
-    return v;
-  }
-  uint64_t U64() {
-    uint64_t v;
-    Raw(&v, sizeof(v));
-    return v;
-  }
-  int64_t I64() {
-    int64_t v;
-    Raw(&v, sizeof(v));
-    return v;
-  }
-  double F64() {
-    const uint64_t bits = U64();
-    double v;
-    std::memcpy(&v, &bits, sizeof(v));
-    return v;
-  }
-  std::string Str() {
+  template <class M>
+  void Sorted(M& m) {
     const uint64_t n = Len();
-    std::string s(n, '\0');
-    Raw(s.data(), n);
-    return s;
+    m.clear();
+    m.reserve(n);
+    for (uint64_t i = 0; i < n; ++i) {
+      typename M::key_type key{};
+      Scalar(key);
+      if constexpr (requires { typename M::mapped_type; }) {
+        (*this)(m[key]);
+      } else {
+        m.insert(key);
+      }
+    }
   }
 
+  bool AtEnd() const { return pos_ == bytes_.size(); }
+
+ private:
+  friend class StateArchive<StateReader>;
+
+  template <class T>
+  void Scalar(T& v) {
+    if constexpr (std::is_same_v<T, bool>) {
+      uint8_t b = 0;
+      Scalar(b);
+      v = b != 0;
+    } else {
+      if (bytes_.size() - pos_ < sizeof(v)) {
+        throw std::runtime_error("StateReader: truncated snapshot");
+      }
+      std::memcpy(&v, bytes_.data() + pos_, sizeof(v));
+      pos_ += sizeof(v);
+    }
+  }
   // Element count of a serialized sequence, bounds-checked against the
   // remaining bytes so a corrupt length cannot drive a huge resize.
   uint64_t Len() {
-    const uint64_t n = U64();
+    uint64_t n = 0;
+    Scalar(n);
     if (n > bytes_.size() - pos_) {
       throw std::runtime_error("StateReader: sequence length exceeds buffer");
     }
     return n;
   }
-
-  template <typename T, typename Fn>
-  void Vec(std::vector<T>& v, Fn&& per_element) {
+  uint64_t Length(size_t /*n*/, size_t min_len, size_t max_len,
+                  const char* what) {
     const uint64_t n = Len();
-    v.clear();
-    v.reserve(n);
-    for (uint64_t i = 0; i < n; ++i) {
-      v.push_back(per_element(*this));
+    if (n < min_len || n > max_len) {
+      throw std::runtime_error(what);
     }
+    return n;
   }
-  template <typename T, typename Fn>
-  void Deq(std::deque<T>& v, Fn&& per_element) {
-    const uint64_t n = Len();
-    v.clear();
-    for (uint64_t i = 0; i < n; ++i) {
-      v.push_back(per_element(*this));
+  // Resizable containers load in place, so elements keep the runtime-only
+  // state their Visit leaves out (ids, telemetry handles); sets are refilled
+  // in saved order.
+  template <class C, class Fn>
+  void Elements(C& c, uint64_t n, Fn& fn) {
+    if constexpr (requires { c.resize(n); }) {
+      c.resize(n);
+      for (auto& element : c) {
+        fn(*this, element);
+      }
+    } else {
+      c.clear();
+      for (uint64_t i = 0; i < n; ++i) {
+        typename C::value_type element{};
+        fn(*this, element);
+        c.insert(c.end(), std::move(element));
+      }
     }
-  }
-  std::vector<uint8_t> VecU8() {
-    const uint64_t n = Len();
-    std::vector<uint8_t> v(n);
-    Raw(v.data(), n);
-    return v;
-  }
-  std::vector<double> VecF64() {
-    const uint64_t n = Len();
-    std::vector<double> v;
-    v.reserve(n);
-    for (uint64_t i = 0; i < n; ++i) {
-      v.push_back(F64());
-    }
-    return v;
-  }
-  std::vector<uint64_t> VecU64() {
-    const uint64_t n = Len();
-    std::vector<uint64_t> v;
-    v.reserve(n);
-    for (uint64_t i = 0; i < n; ++i) {
-      v.push_back(U64());
-    }
-    return v;
-  }
-  std::vector<int32_t> VecI32() {
-    const uint64_t n = Len();
-    std::vector<int32_t> v;
-    v.reserve(n);
-    for (uint64_t i = 0; i < n; ++i) {
-      v.push_back(I32());
-    }
-    return v;
-  }
-  std::vector<int> VecInt() {
-    const uint64_t n = Len();
-    std::vector<int> v;
-    v.reserve(n);
-    for (uint64_t i = 0; i < n; ++i) {
-      v.push_back(I32());
-    }
-    return v;
-  }
-
-  bool AtEnd() const { return pos_ == bytes_.size(); }
-  size_t remaining() const { return bytes_.size() - pos_; }
-
- private:
-  void Need(size_t n) const {
-    if (bytes_.size() - pos_ < n) {
-      throw std::runtime_error("StateReader: truncated snapshot");
-    }
-  }
-  void Raw(void* out, size_t n) {
-    Need(n);
-    std::memcpy(out, bytes_.data() + pos_, n);
-    pos_ += n;
   }
 
   const std::vector<uint8_t>& bytes_;

@@ -5,7 +5,6 @@
 #include <cstddef>
 #include <stdexcept>
 
-#include "common/state_io.h"
 
 namespace silica {
 
@@ -37,32 +36,6 @@ void StreamingStats::Merge(const StreamingStats& other) {
 }
 
 double StreamingStats::stddev() const { return std::sqrt(variance()); }
-
-void StreamingStats::SaveState(StateWriter& w) const {
-  w.U64(count_);
-  w.F64(mean_);
-  w.F64(m2_);
-  w.F64(min_);
-  w.F64(max_);
-}
-
-void StreamingStats::LoadState(StateReader& r) {
-  count_ = r.U64();
-  mean_ = r.F64();
-  m2_ = r.F64();
-  min_ = r.F64();
-  max_ = r.F64();
-}
-
-void PercentileTracker::SaveState(StateWriter& w) const {
-  w.VecF64(samples_);
-  w.Bool(sorted_);
-}
-
-void PercentileTracker::LoadState(StateReader& r) {
-  samples_ = r.VecF64();
-  sorted_ = r.Bool();
-}
 
 void PercentileTracker::EnsureSorted() const {
   if (!sorted_) {

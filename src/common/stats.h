@@ -10,18 +10,17 @@
 
 namespace silica {
 
-class StateReader;
-class StateWriter;
-
 // Welford-style streaming mean/variance with min/max.
 class StreamingStats {
  public:
   void Add(double x);
   void Merge(const StreamingStats& other);
 
-  // Exact state round-trip for checkpoint/restore (bit patterns preserved).
-  void SaveState(StateWriter& w) const;
-  void LoadState(StateReader& r);
+  // Checkpoint field list (common/state_io.h); bit patterns preserved.
+  template <class Ar>
+  void Visit(Ar& ar) {
+    ar(count_, mean_, m2_, min_, max_);
+  }
 
   uint64_t count() const { return count_; }
   double mean() const { return count_ ? mean_ : 0.0; }
@@ -61,11 +60,13 @@ class PercentileTracker {
   // Absorbs another tracker's samples (e.g. merging per-library results).
   void Merge(const PercentileTracker& other);
 
-  // Exact state round-trip for checkpoint/restore. Sample *order* is preserved
+  // Checkpoint field list (common/state_io.h). Sample *order* is preserved
   // (not just the multiset): sum() accumulates in storage order, so byte-equal
   // restored results require byte-equal storage.
-  void SaveState(StateWriter& w) const;
-  void LoadState(StateReader& r);
+  template <class Ar>
+  void Visit(Ar& ar) {
+    ar(samples_, sorted_);
+  }
 
  private:
   // Sorted lazily; mutable so accessors stay const.

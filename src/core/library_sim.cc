@@ -2,10 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <deque>
 #include <memory>
 #include <limits>
 #include <stdexcept>
+#include <string>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -48,6 +50,14 @@ struct PlatterInfo {
   int dark = 0;
   double created_at = 0.0;  // for freshly written platters: eject time
   enum class State { kStored, kTargeted, kAtDrive, kAtEject } state = State::kStored;
+
+  template <class Ar>
+  void Visit(Ar& ar) {
+    ar(slot.rack, slot.shelf, slot.slot, x, shelf, partition, set, unavailable,
+       dark, created_at);
+    ar.Enum(state, State::kAtEject,
+            "Sim checkpoint: platter state out of range");
+  }
 };
 
 struct ReturnJob {
@@ -55,6 +65,11 @@ struct ReturnJob {
   int drive = 0;
   bool verify_slot = false;  // pick from the verify slot instead of the output
   bool scrub = false;        // a scrubbed platter, not a freshly written one
+
+  template <class Ar>
+  void Visit(Ar& ar) {
+    ar(platter, drive, verify_slot, scrub);
+  }
 };
 
 struct Shuttle {
@@ -89,6 +104,18 @@ struct Shuttle {
   int job_drive = 0;
   ReturnJob job_return;
   Simulator::EventId job_event = Simulator::kInvalidEvent;
+
+  // id and track are fixed at construction; job_event is rebound when the
+  // owning descriptor is re-armed.
+  template <class Ar>
+  void Visit(Ar& ar) {
+    ar(partition, x, shelf, busy, failed, battery, rng);
+    ar.Enum(job, Job::kRecharge, "Sim checkpoint: shuttle job out of range");
+    ar(job_platter, job_drive, job_return);
+    if constexpr (Ar::kLoading) {
+      job_event = Simulator::kInvalidEvent;
+    }
+  }
 };
 
 // A read drive has platter stations (Section 4: "slots into which platters are
@@ -141,6 +168,23 @@ struct Drive {
   bool scrubbing = false;
   bool scrub_repairing = false;
   uint64_t scrub_pending[kNumRepairTiers] = {0, 0, 0, 0};  // detected, by tier
+
+  // id, pos, throughput and track are fixed at construction; the event
+  // handles are rebound when their descriptors are re-armed, and spans never
+  // cross a checkpoint.
+  template <class Ar>
+  void Visit(Ar& ar) {
+    ar(input_reserved, input_occupied, input_platter, mounted, mounted_platter,
+       output_occupied, output_pending, output_platter, verifying,
+       verify_since, verify_present, verify_incoming, verified_waiting,
+       verify_platter, verify_remaining_s, served_in_session, read_s, verify_s,
+       switch_s, down, resume_pending, inflight, read_started, read_cost,
+       scrubbing, scrub_repairing, scrub_pending);
+    if constexpr (Ar::kLoading) {
+      verify_event = Simulator::kInvalidEvent;
+      read_event = Simulator::kInvalidEvent;
+    }
+  }
 };
 
 // Fan-in bookkeeping: a request with children (shards of a large file, or recovery
@@ -153,6 +197,11 @@ struct ParentState {
   int remaining = 0;
   uint64_t up = 0;
   bool failed = false;
+
+  template <class Ar>
+  void Visit(Ar& ar) {
+    ar(arrival, remaining, up, failed);
+  }
 };
 
 // Rejects malformed configurations up front with a message naming the
@@ -286,9 +335,12 @@ class Sim final : public FaultHost {
   // Capture mode must be on from construction so every event scheduled before
   // the snapshot carries a serializable descriptor.
   void EnableCapture() { track_ = true; }
-  // Restores a snapshot onto this freshly constructed twin; the next Run()
-  // skips the prologue and replays the remainder byte-identically.
-  void LoadCheckpointBytes(const std::vector<uint8_t>& bytes);
+  // Checkpoint field list (common/state_io.h): the config fingerprint, the
+  // engine clock and pending-event queue, then every member in a fixed order.
+  // Loading onto a freshly constructed twin makes the next Run() skip the
+  // prologue and replay the remainder byte-identically.
+  template <class Ar>
+  void Visit(Ar& ar);
 
  private:
   // ---- event descriptors (checkpoint/restore) ----
@@ -311,7 +363,8 @@ class Sim final : public FaultHost {
     kEvScriptedShuttleFail, kEvBlackoutStart, kEvBlackoutEnd,
     kEvLazyDrain,
     // Federation-injected work. Not serializable (injection is rejected in
-    // capture mode), so these kinds never appear in a checkpoint.
+    // capture mode), so these kinds never appear in a checkpoint, and
+    // restore rejects a snapshot that names one.
     kEvFederatedArrival, kEvFederatedWrite,
   };
   struct PendingEvent {
@@ -347,7 +400,43 @@ class Sim final : public FaultHost {
   }
 
   // ---- checkpoint/restore ----
-  void SaveCheckpoint(StateWriter& w);
+  // The engine clock and calendar queue: the one part of a snapshot that is
+  // collected on save and re-armed on load instead of living in members.
+  struct SavedEvent {
+    double at = 0.0;
+    uint8_t source = 0;  // 0 = library descriptor, 1 = fault injector
+    PendingEvent e;
+    int32_t component = 0;
+    bool is_repair = false;
+
+    template <class Ar>
+    void Visit(Ar& ar) {
+      ar(at, source);
+      if (source == 0) {
+        ar(e.kind, e.a, e.b, e.c);
+      } else if (source == 1) {
+        ar(component, is_repair);
+      } else {
+        throw std::runtime_error(
+            "Sim checkpoint: unknown pending-event source");
+      }
+    }
+  };
+  struct EngineState {
+    double now = 0.0;
+    uint64_t executed = 0;
+    uint64_t cancelled = 0;
+    uint64_t scheduled = 0;
+    std::vector<SavedEvent> events;  // in original event-id order
+
+    template <class Ar>
+    void Visit(Ar& ar) {
+      ar(now, executed, cancelled, scheduled, events);
+    }
+  };
+  EngineState CaptureEngine();
+  void ValidateRestoredEvent(const SavedEvent& s) const;
+  void RearmEngine(const EngineState& engine);
   // ---- setup ----
   void SetUpPlatters();
   void SetUpControlPlane();
@@ -752,6 +841,11 @@ class Sim final : public FaultHost {
   struct Rebuild {
     uint64_t sectors = 0;  // tier-3 damage being rebuilt
     int attempt = 0;       // backoff probes spent waiting for set peers
+
+    template <class Ar>
+    void Visit(Ar& ar) {
+      ar(sectors, attempt);
+    }
   };
   std::unordered_map<uint64_t, Rebuild> rebuilds_;  // by platter
   // Synthetic fan-in parents for rebuild peer reads, resolved out-of-band in
@@ -3379,7 +3473,7 @@ LibrarySimResult Sim::Run(double checkpoint_at,
     // own results stay byte-identical to an uninterrupted run.
     sim_.Run(checkpoint_at);
     StateWriter w;
-    SaveCheckpoint(w);
+    Visit(w);
     *checkpoint_out = w.Take();
   }
   sim_.Run();
@@ -3708,26 +3802,105 @@ void Sim::OnBlackout(bool down) {
 constexpr uint32_t kCheckpointMagic = 0x5117C4B2u;
 constexpr uint32_t kCheckpointVersion = 1u;
 
-void Sim::SaveCheckpoint(StateWriter& w) {
-  w.U32(kCheckpointMagic);
-  w.U32(kCheckpointVersion);
+template <class Ar>
+void Sim::Visit(Ar& ar) {
+  ar.Check(kCheckpointMagic,
+           "Sim checkpoint: bad magic (not a library checkpoint)");
+  ar.Check(kCheckpointVersion, "Sim checkpoint: version mismatch");
   // Fingerprint: a checkpoint only makes sense against the identical config +
   // trace; restore rejects mismatches loudly instead of diverging silently.
-  w.U64(config_.seed);
-  w.U64(config_.num_info_platters);
-  w.I32(config_.platter_set_info);
-  w.I32(config_.platter_set_redundancy);
-  w.I32(static_cast<int32_t>(config_.library.policy));
-  w.U64(shuttles_.size());
-  w.U64(drives_.size());
-  w.U64(trace_.size());
+  ar.Check(config_.seed, "Sim checkpoint: config mismatch (seed)");
+  ar.Check(config_.num_info_platters,
+           "Sim checkpoint: config mismatch (num_info_platters)");
+  ar.Check(config_.platter_set_info,
+           "Sim checkpoint: config mismatch (platter_set_info)");
+  ar.Check(config_.platter_set_redundancy,
+           "Sim checkpoint: config mismatch (platter_set_redundancy)");
+  ar.Check(static_cast<int32_t>(config_.library.policy),
+           "Sim checkpoint: config mismatch (policy)");
+  ar.Check(static_cast<uint64_t>(shuttles_.size()),
+           "Sim checkpoint: config mismatch (shuttle count)");
+  ar.Check(static_cast<uint64_t>(drives_.size()),
+           "Sim checkpoint: config mismatch (drive count)");
+  ar.Check(static_cast<uint64_t>(trace_.size()),
+           "Sim checkpoint: trace mismatch (request count)");
 
-  // Engine clock. Settle first so the cancelled count matches the live queue.
+  EngineState engine;
+  if constexpr (!Ar::kLoading) {
+    engine = CaptureEngine();
+  }
+  ar(engine, rng_);
+  // The write pipeline appends platters, so the table never shrinks.
+  ar.Seq(platters_, platters_.size(), SIZE_MAX,
+         "Sim checkpoint: platter count shrank (incompatible snapshot)");
+  // One entry per shuttle and drive, so no length goes on the wire.
+  for (Shuttle& s : shuttles_) {
+    ar(s);
+  }
+  for (Drive& d : drives_) {
+    ar(d);
+  }
+  ar.Check(partitioner_ != nullptr,
+           "Sim checkpoint: config mismatch (partitioner presence)");
+  if (partitioner_ != nullptr) {
+    ar(*partitioner_);
+  }
+  ar(sched_);
+  ar.Fixed(returns_, "Sim checkpoint: config mismatch (return-queue count)");
+  ar(returns_pending_, ready_partitions_, orphaned_partitions_);
+  ar.Fixed(partition_distressed_,
+           "Sim checkpoint: config mismatch (partition count)");
+  ar(distressed_count_);
+  ar.Fixed(drive_avail_, "Sim checkpoint: config mismatch (drive count)");
+  ar.Fixed(partition_avail_drives_,
+           "Sim checkpoint: config mismatch (partition count)");
+  ar(steal_noop_cut_, steal_memo_epoch_);
+  ar.Fixed(partition_ewma_,
+           "Sim checkpoint: config mismatch (partition count)");
+  ar.Sorted(parents_);
+  ar(eject_queue_, next_sub_id_, rails_);
+  ar.Fixed(rack_darkened_, "Sim checkpoint: config mismatch (rack count)");
+  ar.Sorted(retry_pending_);
+  ar.Check(scrub_.initialized(),
+           "Sim checkpoint: config mismatch (scrub presence)");
+  if (scrub_.initialized()) {
+    ar(scrub_);
+  }
+  ar.Fixed(aging_rngs_,
+           "Sim checkpoint: config mismatch (aging stream count)");
+  ar.Sorted(rebuilds_);
+  ar.Sorted(rebuild_parent_of_);
+  ar.Check(injector_ != nullptr,
+           "Sim checkpoint: config mismatch (fault injector presence)");
+  if (injector_ != nullptr) {
+    ar(*injector_);
+  }
+  ar(lazy_, lazy_drain_scheduled_, result_);
+  // Metric registry counts are cumulative and flushed exactly once (in
+  // PublishSummaryMetrics), so the restored run's single end-flush pushes the
+  // full totals — matching an uninterrupted run byte-for-byte.
+  ar.Check(tel_ != nullptr,
+           "Sim checkpoint: config mismatch (telemetry presence)");
+  if (tel_ != nullptr) {
+    ar(tel_->metrics);
+  }
+
+  if constexpr (Ar::kLoading) {
+    if (!ar.AtEnd()) {
+      throw std::runtime_error("Sim checkpoint: trailing bytes after snapshot");
+    }
+    RearmEngine(engine);
+  }
+}
+
+Sim::EngineState Sim::CaptureEngine() {
+  EngineState engine;
+  // Settle first so the cancelled count matches the live queue.
   sim_.SettleCancelled();
-  w.F64(sim_.Now());
-  w.U64(sim_.events_executed());
-  w.U64(sim_.events_cancelled());
-  w.U64(sim_.events_scheduled());
+  engine.now = sim_.Now();
+  engine.executed = sim_.events_executed();
+  engine.cancelled = sim_.events_cancelled();
+  engine.scheduled = sim_.events_scheduled();
 
   // Calendar queue, as descriptors, sorted by original event id: re-arming in
   // this order on a fresh engine hands out ascending ids again, so the (time,
@@ -3744,466 +3917,119 @@ void Sim::SaveCheckpoint(StateWriter& w) {
   }
   std::sort(live.begin(), live.end(),
             [](const auto& a, const auto& b) { return a.second < b.second; });
-  w.U64(live.size());
+  engine.events.reserve(live.size());
   for (const auto& [at, id] : live) {
-    w.F64(at);
+    SavedEvent& s = engine.events.emplace_back();
+    s.at = at;
     if (const auto it = tracked_.find(id); it != tracked_.end()) {
-      const PendingEvent& e = it->second;
-      if (e.span != Tracer::kInvalidSpan) {
+      if (it->second.span != Tracer::kInvalidSpan) {
         throw std::logic_error(
             "Sim checkpoint: live span handle in the event queue (capture "
             "requires tracing disabled)");
       }
-      w.U8(0);
-      w.U32(e.kind);
-      w.I32(e.a);
-      w.U64(e.b);
-      w.U64(e.c);
+      s.source = 0;
+      s.e = it->second;
     } else if (const auto jt = injected.find(id); jt != injected.end()) {
-      w.U8(1);
-      w.I32(jt->second.component);
-      w.Bool(jt->second.is_repair);
+      s.source = 1;
+      s.component = jt->second.component;
+      s.is_repair = jt->second.is_repair;
     } else {
       throw std::logic_error(
           "Sim checkpoint: pending event without a descriptor");
     }
   }
-
-  // Members, in a fixed order mirrored exactly by LoadCheckpointBytes.
-  rng_.SaveState(w);
-  w.U64(platters_.size());
-  for (const PlatterInfo& p : platters_) {
-    w.I32(p.slot.rack);
-    w.I32(p.slot.shelf);
-    w.I32(p.slot.slot);
-    w.F64(p.x);
-    w.I32(p.shelf);
-    w.I32(p.partition);
-    w.U64(p.set);
-    w.Bool(p.unavailable);
-    w.I32(p.dark);
-    w.F64(p.created_at);
-    w.U8(static_cast<uint8_t>(p.state));
-  }
-  for (const Shuttle& s : shuttles_) {
-    w.I32(s.partition);
-    w.F64(s.x);
-    w.I32(s.shelf);
-    w.Bool(s.busy);
-    w.Bool(s.failed);
-    w.F64(s.battery);
-    s.rng.SaveState(w);
-    w.U8(static_cast<uint8_t>(s.job));
-    w.U64(s.job_platter);
-    w.I32(s.job_drive);
-    w.U64(s.job_return.platter);
-    w.I32(s.job_return.drive);
-    w.Bool(s.job_return.verify_slot);
-    w.Bool(s.job_return.scrub);
-    // job_event is rebound when the owning descriptor is re-armed.
-  }
-  for (const Drive& d : drives_) {
-    w.Bool(d.input_reserved);
-    w.Bool(d.input_occupied);
-    w.U64(d.input_platter);
-    w.Bool(d.mounted);
-    w.U64(d.mounted_platter);
-    w.Bool(d.output_occupied);
-    w.Bool(d.output_pending);
-    w.U64(d.output_platter);
-    w.Bool(d.verifying);
-    w.F64(d.verify_since);
-    w.Bool(d.verify_present);
-    w.Bool(d.verify_incoming);
-    w.Bool(d.verified_waiting);
-    w.U64(d.verify_platter);
-    w.F64(d.verify_remaining_s);
-    w.I32(d.served_in_session);
-    w.F64(d.read_s);
-    w.F64(d.verify_s);
-    w.F64(d.switch_s);
-    w.Bool(d.down);
-    w.Bool(d.resume_pending);
-    SaveRequest(w, d.inflight);
-    w.F64(d.read_started);
-    w.F64(d.read_cost);
-    w.Bool(d.scrubbing);
-    w.Bool(d.scrub_repairing);
-    for (int t = 0; t < kNumRepairTiers; ++t) {
-      w.U64(d.scrub_pending[t]);
-    }
-  }
-  w.Bool(partitioner_ != nullptr);
-  if (partitioner_ != nullptr) {
-    partitioner_->SaveState(w);
-  }
-  sched_.SaveState(w);
-  w.U64(returns_.size());
-  for (const auto& queue : returns_) {
-    w.Deq(queue, [](StateWriter& sw, const ReturnJob& job) {
-      sw.U64(job.platter);
-      sw.I32(job.drive);
-      sw.Bool(job.verify_slot);
-      sw.Bool(job.scrub);
-    });
-  }
-  w.U64(returns_pending_);
-  w.VecInt(ready_partitions_);
-  w.VecInt(orphaned_partitions_);
-  w.VecU8(partition_distressed_);
-  w.I32(distressed_count_);
-  w.VecU8(drive_avail_);
-  w.VecInt(partition_avail_drives_);
-  w.U64(steal_noop_cut_);
-  w.U64(steal_memo_epoch_);
-  w.VecF64(partition_ewma_);
-  {
-    // Unordered containers serialize key-sorted so the byte stream is a pure
-    // function of the simulation state, never of hash-table history.
-    std::vector<uint64_t> keys;
-    keys.reserve(parents_.size());
-    for (const auto& [key, state] : parents_) {
-      keys.push_back(key);
-    }
-    std::sort(keys.begin(), keys.end());
-    w.U64(keys.size());
-    for (uint64_t key : keys) {
-      const ParentState& state = parents_.at(key);
-      w.U64(key);
-      w.F64(state.arrival);
-      w.I32(state.remaining);
-      w.U64(state.up);
-      w.Bool(state.failed);
-    }
-  }
-  w.Deq(eject_queue_, [](StateWriter& sw, uint64_t p) { sw.U64(p); });
-  w.U64(next_sub_id_);
-  rails_.SaveState(w);
-  w.U64(rack_darkened_.size());
-  for (const auto& darkened : rack_darkened_) {
-    w.VecU64(darkened);
-  }
-  {
-    std::vector<uint64_t> pending(retry_pending_.begin(), retry_pending_.end());
-    std::sort(pending.begin(), pending.end());
-    w.VecU64(pending);
-  }
-  w.Bool(scrub_.initialized());
-  if (scrub_.initialized()) {
-    scrub_.SaveState(w);
-  }
-  w.U64(aging_rngs_.size());
-  for (const Rng& rng : aging_rngs_) {
-    rng.SaveState(w);
-  }
-  {
-    std::vector<uint64_t> keys;
-    keys.reserve(rebuilds_.size());
-    for (const auto& [platter, rebuild] : rebuilds_) {
-      keys.push_back(platter);
-    }
-    std::sort(keys.begin(), keys.end());
-    w.U64(keys.size());
-    for (uint64_t platter : keys) {
-      const Rebuild& rebuild = rebuilds_.at(platter);
-      w.U64(platter);
-      w.U64(rebuild.sectors);
-      w.I32(rebuild.attempt);
-    }
-  }
-  {
-    std::vector<uint64_t> keys;
-    keys.reserve(rebuild_parent_of_.size());
-    for (const auto& [parent, platter] : rebuild_parent_of_) {
-      keys.push_back(parent);
-    }
-    std::sort(keys.begin(), keys.end());
-    w.U64(keys.size());
-    for (uint64_t parent : keys) {
-      w.U64(parent);
-      w.U64(rebuild_parent_of_.at(parent));
-    }
-  }
-  w.Bool(injector_ != nullptr);
-  if (injector_ != nullptr) {
-    injector_->SaveState(w);
-  }
-  lazy_.SaveState(w);
-  w.Bool(lazy_drain_scheduled_);
-  SaveLibrarySimResult(w, result_);
-  // Metric registry counts are cumulative and flushed exactly once (in
-  // PublishSummaryMetrics), so the restored run's single end-flush pushes the
-  // full totals — matching an uninterrupted run byte-for-byte.
-  w.Bool(tel_ != nullptr);
-  if (tel_ != nullptr) {
-    tel_->metrics.SaveState(w);
-  }
+  return engine;
 }
 
-void Sim::LoadCheckpointBytes(const std::vector<uint8_t>& bytes) {
-  StateReader r(bytes);
+// Fire indexes shuttles_, drives_, platters_ and the trace with a descriptor's
+// payload, and the injector re-arms by component index; a snapshot naming any
+// of them out of range, or an event kind no checkpoint can hold, is rejected
+// here, before anything is re-armed.
+void Sim::ValidateRestoredEvent(const SavedEvent& s) const {
   const auto reject = [](const std::string& what) {
     throw std::runtime_error("Sim checkpoint: " + what);
   };
-  if (r.U32() != kCheckpointMagic) {
-    reject("bad magic (not a library checkpoint)");
-  }
-  if (r.U32() != kCheckpointVersion) {
-    reject("version mismatch");
-  }
-  if (r.U64() != config_.seed) {
-    reject("config mismatch (seed)");
-  }
-  if (r.U64() != config_.num_info_platters) {
-    reject("config mismatch (num_info_platters)");
-  }
-  if (r.I32() != config_.platter_set_info) {
-    reject("config mismatch (platter_set_info)");
-  }
-  if (r.I32() != config_.platter_set_redundancy) {
-    reject("config mismatch (platter_set_redundancy)");
-  }
-  if (r.I32() != static_cast<int32_t>(config_.library.policy)) {
-    reject("config mismatch (policy)");
-  }
-  if (r.U64() != shuttles_.size()) {
-    reject("config mismatch (shuttle count)");
-  }
-  if (r.U64() != drives_.size()) {
-    reject("config mismatch (drive count)");
-  }
-  if (r.U64() != trace_.size()) {
-    reject("trace mismatch (request count)");
-  }
-
-  const double now = r.F64();
-  const uint64_t executed = r.U64();
-  const uint64_t cancelled = r.U64();
-  const uint64_t scheduled = r.U64();
-
-  struct SavedEvent {
-    double at = 0.0;
-    uint8_t source = 0;  // 0 = library descriptor, 1 = fault injector
-    PendingEvent e;
-    int32_t component = 0;
-    bool is_repair = false;
+  const auto in_range = [](int64_t index, size_t size) {
+    return index >= 0 && static_cast<uint64_t>(index) < size;
   };
-  const uint64_t num_events = r.Len();
-  std::vector<SavedEvent> events;
-  events.reserve(num_events);
-  for (uint64_t i = 0; i < num_events; ++i) {
-    SavedEvent s;
-    s.at = r.F64();
-    s.source = r.U8();
-    if (s.source == 0) {
-      s.e.kind = r.U32();
-      s.e.a = r.I32();
-      s.e.b = r.U64();
-      s.e.c = r.U64();
-    } else if (s.source == 1) {
-      s.component = r.I32();
-      s.is_repair = r.Bool();
-    } else {
-      reject("unknown pending-event source");
+  if (s.source == 1) {
+    if (injector_ == nullptr ||
+        !in_range(s.component,
+                  static_cast<size_t>(injector_->num_components()))) {
+      reject("pending fault component " + std::to_string(s.component) +
+             " out of range");
     }
-    events.push_back(s);
+    return;
   }
+  const PendingEvent& e = s.e;
+  bool a_shuttle = false;
+  bool a_drive = false;
+  bool b_platter = false;
+  switch (e.kind) {
+    case kEvFetchPick:
+    case kEvFetchPlace:
+    case kEvReturnPick:
+    case kEvReturnStore:
+    case kEvVerifyDeliveryPick:
+    case kEvVerifyDeliveryPlace:
+    case kEvScrubPick:
+    case kEvScrubPlace:
+      a_shuttle = b_platter = true;
+      break;
+    case kEvRecharge:
+    case kEvScriptedShuttleFail:
+      a_shuttle = true;
+      break;
+    case kEvMountDone:
+    case kEvReadDone:
+    case kEvUnmountDone:
+      a_drive = b_platter = true;
+      break;
+    case kEvSwitchBack:
+    case kEvVerifyDone:
+      a_drive = true;
+      break;
+    case kEvRebuildRetry:
+    case kEvRebuildWrite:
+    case kEvStrandRecovery:
+    case kEvRetryProbe:
+      b_platter = true;
+      break;
+    case kEvArrival:
+      if (e.b >= trace_.size()) {
+        reject("pending arrival outside the trace");
+      }
+      break;
+    case kEvProduceWrite:
+    case kEvRepartitionTick:
+    case kEvBlackoutStart:
+    case kEvBlackoutEnd:
+    case kEvLazyDrain:
+      break;
+    default:  // includes the federated kinds: injection cannot be captured
+      reject("pending event kind " + std::to_string(e.kind) +
+             " cannot appear in a checkpoint");
+  }
+  if (a_shuttle && !in_range(e.a, shuttles_.size())) {
+    reject("pending event shuttle " + std::to_string(e.a) + " out of range");
+  }
+  if (a_drive && !in_range(e.a, drives_.size())) {
+    reject("pending event drive " + std::to_string(e.a) + " out of range");
+  }
+  if (b_platter && e.b >= platters_.size()) {
+    reject("pending event platter " + std::to_string(e.b) + " out of range");
+  }
+}
 
-  rng_.LoadState(r);
-  {
-    const uint64_t count = r.Len();
-    if (count < platters_.size()) {
-      reject("platter count shrank (incompatible snapshot)");
-    }
-    platters_.resize(count);  // the write pipeline appends platters
-    for (PlatterInfo& p : platters_) {
-      p.slot.rack = r.I32();
-      p.slot.shelf = r.I32();
-      p.slot.slot = r.I32();
-      p.x = r.F64();
-      p.shelf = r.I32();
-      p.partition = r.I32();
-      p.set = r.U64();
-      p.unavailable = r.Bool();
-      p.dark = r.I32();
-      p.created_at = r.F64();
-      p.state = static_cast<PlatterInfo::State>(r.U8());
-    }
+void Sim::RearmEngine(const EngineState& engine) {
+  for (const SavedEvent& s : engine.events) {
+    ValidateRestoredEvent(s);
   }
-  for (Shuttle& s : shuttles_) {
-    s.partition = r.I32();
-    s.x = r.F64();
-    s.shelf = r.I32();
-    s.busy = r.Bool();
-    s.failed = r.Bool();
-    s.battery = r.F64();
-    s.rng.LoadState(r);
-    s.job = static_cast<Shuttle::Job>(r.U8());
-    s.job_platter = r.U64();
-    s.job_drive = r.I32();
-    s.job_return.platter = r.U64();
-    s.job_return.drive = r.I32();
-    s.job_return.verify_slot = r.Bool();
-    s.job_return.scrub = r.Bool();
-    s.job_event = Simulator::kInvalidEvent;  // rebound below
-  }
-  for (Drive& d : drives_) {
-    d.input_reserved = r.Bool();
-    d.input_occupied = r.Bool();
-    d.input_platter = r.U64();
-    d.mounted = r.Bool();
-    d.mounted_platter = r.U64();
-    d.output_occupied = r.Bool();
-    d.output_pending = r.Bool();
-    d.output_platter = r.U64();
-    d.verifying = r.Bool();
-    d.verify_since = r.F64();
-    d.verify_present = r.Bool();
-    d.verify_incoming = r.Bool();
-    d.verified_waiting = r.Bool();
-    d.verify_platter = r.U64();
-    d.verify_remaining_s = r.F64();
-    d.served_in_session = r.I32();
-    d.read_s = r.F64();
-    d.verify_s = r.F64();
-    d.switch_s = r.F64();
-    d.down = r.Bool();
-    d.resume_pending = r.Bool();
-    d.inflight = LoadRequest(r);
-    d.read_started = r.F64();
-    d.read_cost = r.F64();
-    d.scrubbing = r.Bool();
-    d.scrub_repairing = r.Bool();
-    for (int t = 0; t < kNumRepairTiers; ++t) {
-      d.scrub_pending[t] = r.U64();
-    }
-    d.verify_event = Simulator::kInvalidEvent;  // rebound below
-    d.read_event = Simulator::kInvalidEvent;
-  }
-  if (r.Bool() != (partitioner_ != nullptr)) {
-    reject("config mismatch (partitioner presence)");
-  }
-  if (partitioner_ != nullptr) {
-    partitioner_->LoadState(r);
-  }
-  sched_.LoadState(r);
-  {
-    const uint64_t count = r.Len();
-    if (count != returns_.size()) {
-      reject("config mismatch (return-queue count)");
-    }
-    for (auto& queue : returns_) {
-      r.Deq(queue, [](StateReader& sr) {
-        ReturnJob job;
-        job.platter = sr.U64();
-        job.drive = sr.I32();
-        job.verify_slot = sr.Bool();
-        job.scrub = sr.Bool();
-        return job;
-      });
-    }
-  }
-  returns_pending_ = r.U64();
-  ready_partitions_ = r.VecInt();
-  orphaned_partitions_ = r.VecInt();
-  partition_distressed_ = r.VecU8();
-  distressed_count_ = r.I32();
-  drive_avail_ = r.VecU8();
-  partition_avail_drives_ = r.VecInt();
-  steal_noop_cut_ = r.U64();
-  steal_memo_epoch_ = r.U64();
-  partition_ewma_ = r.VecF64();
-  {
-    const uint64_t count = r.Len();
-    parents_.clear();
-    parents_.reserve(count);
-    for (uint64_t i = 0; i < count; ++i) {
-      const uint64_t key = r.U64();
-      ParentState state;
-      state.arrival = r.F64();
-      state.remaining = r.I32();
-      state.up = r.U64();
-      state.failed = r.Bool();
-      parents_.emplace(key, state);
-    }
-  }
-  r.Deq(eject_queue_, [](StateReader& sr) { return sr.U64(); });
-  next_sub_id_ = r.U64();
-  rails_.LoadState(r);
-  {
-    const uint64_t count = r.Len();
-    if (count != rack_darkened_.size()) {
-      reject("config mismatch (rack count)");
-    }
-    for (auto& darkened : rack_darkened_) {
-      darkened = r.VecU64();
-    }
-  }
-  {
-    retry_pending_.clear();
-    for (uint64_t p : r.VecU64()) {
-      retry_pending_.insert(p);
-    }
-  }
-  if (r.Bool() != scrub_.initialized()) {
-    reject("config mismatch (scrub presence)");
-  }
-  if (scrub_.initialized()) {
-    scrub_.LoadState(r);
-  }
-  {
-    const uint64_t count = r.Len();
-    if (count != aging_rngs_.size()) {
-      reject("config mismatch (aging stream count)");
-    }
-    for (Rng& rng : aging_rngs_) {
-      rng.LoadState(r);
-    }
-  }
-  {
-    const uint64_t count = r.Len();
-    rebuilds_.clear();
-    rebuilds_.reserve(count);
-    for (uint64_t i = 0; i < count; ++i) {
-      const uint64_t platter = r.U64();
-      Rebuild rebuild;
-      rebuild.sectors = r.U64();
-      rebuild.attempt = r.I32();
-      rebuilds_.emplace(platter, rebuild);
-    }
-  }
-  {
-    const uint64_t count = r.Len();
-    rebuild_parent_of_.clear();
-    rebuild_parent_of_.reserve(count);
-    for (uint64_t i = 0; i < count; ++i) {
-      const uint64_t parent = r.U64();
-      rebuild_parent_of_[parent] = r.U64();
-    }
-  }
-  if (r.Bool() != (injector_ != nullptr)) {
-    reject("config mismatch (fault injector presence)");
-  }
-  if (injector_ != nullptr) {
-    injector_->LoadState(r);
-  }
-  lazy_.LoadState(r);
-  lazy_drain_scheduled_ = r.Bool();
-  result_ = LoadLibrarySimResult(r);
-  if (r.Bool() != (tel_ != nullptr)) {
-    reject("config mismatch (telemetry presence)");
-  }
-  if (tel_ != nullptr) {
-    tel_->metrics.LoadState(r);
-  }
-  if (!r.AtEnd()) {
-    reject("trailing bytes after snapshot");
-  }
-
   // Clock first, then re-arm in original-id order: the fresh engine hands out
   // ascending ids, so the (time, id) FIFO tie-break replays identically.
-  sim_.Restore(now, executed, cancelled, scheduled - num_events);
-  for (const SavedEvent& s : events) {
+  sim_.Restore(engine.now, engine.executed, engine.cancelled,
+               engine.scheduled - engine.events.size());
+  for (const SavedEvent& s : engine.events) {
     if (s.source == 1) {
       if (s.is_repair) {
         injector_->RearmRepairAt(s.component, s.at);
@@ -4241,151 +4067,37 @@ void Sim::LoadCheckpointBytes(const std::vector<uint8_t>& bytes) {
 
 }  // namespace
 
-void SaveLibrarySimResult(StateWriter& w, const LibrarySimResult& result) {
-  result.completion_times.SaveState(w);
-  w.U64(result.requests_total);
-  w.U64(result.requests_completed);
-  w.U64(result.recovery_reads);
-  w.F64(result.makespan);
-  w.U64(result.travels);
-  result.travel_times.SaveState(w);
-  w.F64(result.congestion_wait_total);
-  w.F64(result.expected_travel_total);
-  w.U64(result.congestion_stops);
-  w.F64(result.travel_energy_total);
-  w.U64(result.platter_operations);
-  w.F64(result.drive_read_seconds);
-  w.F64(result.drive_verify_seconds);
-  w.F64(result.drive_switch_seconds);
-  w.F64(result.drive_idle_seconds);
-  w.U64(result.work_steals);
-  w.U64(result.shuttle_recharges);
-  w.U64(result.events_executed);
-  w.U64(result.congestion_detours);
-  w.U64(result.repartitions);
-  w.Vec(result.repartition_history,
-        [](StateWriter& sw, const LibrarySimResult::RepartitionEvent& e) {
-          sw.F64(e.time);
-          sw.I32(e.hot);
-          sw.I32(e.cold);
-        });
-  w.U64(result.faults.shuttle_failures);
-  w.U64(result.faults.shuttle_repairs);
-  w.U64(result.faults.drive_failures);
-  w.U64(result.faults.drive_repairs);
-  w.U64(result.faults.rack_failures);
-  w.U64(result.faults.rack_repairs);
-  w.U64(result.faults.aborted_shuttle_jobs);
-  w.U64(result.faults.stranded_recoveries);
-  w.U64(result.faults.dark_retries);
-  w.U64(result.faults.converted_requests);
-  w.U64(result.amplified_requests);
-  w.U64(result.requests_failed);
-  w.U64(result.platters_written);
-  w.U64(result.platters_verified);
-  result.verify_turnaround.SaveState(w);
-  w.U64(result.scrub.aging_events);
-  w.U64(result.scrub.latent_sectors);
-  w.U64(result.scrub.scrubs_completed);
-  w.U64(result.scrub.scrub_detections);
-  w.U64(result.scrub.read_detections);
-  w.U64(result.scrub.rebuilds_started);
-  w.U64(result.scrub.rebuilds_completed);
-  w.U64(result.scrub.rebuild_retries);
-  w.U64(result.scrub.rebuild_reads);
-  w.F64(result.scrub.scrub_read_seconds);
-  w.F64(result.scrub.repair_read_seconds);
-  w.U64(result.scrub.lazy_admitted);
-  w.U64(result.scrub.lazy_drained);
-  w.U64(result.scrub.lazy_settled);
-  w.U64(result.scrub.lazy_drained_bytes);
-  w.U64(result.scrub.lazy_peak_queue);
-  w.U64(result.scrub.ledger.detected);
-  for (int t = 0; t < kNumRepairTiers; ++t) {
-    w.U64(result.scrub.ledger.repaired[t]);
-  }
-  w.U64(result.scrub.ledger.unrecoverable);
-  w.U64(result.scrub.ledger.bytes_lost);
-  w.U64(result.federation.injected_arrivals);
-  w.U64(result.federation.injected_resolved);
-  w.U64(result.federation.injected_failed);
-  w.U64(result.federation.injected_writes);
-  w.U64(result.federation.data_loss_escalations);
+template <class Ar>
+void LibrarySimResult::Visit(Ar& ar) {
+  ar(completion_times, requests_total, requests_completed, recovery_reads,
+     makespan, travels, travel_times, congestion_wait_total,
+     expected_travel_total, congestion_stops, travel_energy_total,
+     platter_operations, drive_read_seconds, drive_verify_seconds,
+     drive_switch_seconds, drive_idle_seconds, work_steals, shuttle_recharges,
+     events_executed, congestion_detours, repartitions, repartition_history);
+  ar(faults.shuttle_failures, faults.shuttle_repairs, faults.drive_failures,
+     faults.drive_repairs, faults.rack_failures, faults.rack_repairs,
+     faults.aborted_shuttle_jobs, faults.stranded_recoveries,
+     faults.dark_retries, faults.converted_requests);
+  ar(amplified_requests, requests_failed, platters_written, platters_verified,
+     verify_turnaround);
+  ar(scrub.aging_events, scrub.latent_sectors, scrub.scrubs_completed,
+     scrub.scrub_detections, scrub.read_detections, scrub.rebuilds_started,
+     scrub.rebuilds_completed, scrub.rebuild_retries, scrub.rebuild_reads,
+     scrub.scrub_read_seconds, scrub.repair_read_seconds, scrub.lazy_admitted,
+     scrub.lazy_drained, scrub.lazy_settled, scrub.lazy_drained_bytes,
+     scrub.lazy_peak_queue, scrub.ledger.detected, scrub.ledger.repaired,
+     scrub.ledger.unrecoverable, scrub.ledger.bytes_lost);
+  ar(federation.injected_arrivals, federation.injected_resolved,
+     federation.injected_failed, federation.injected_writes,
+     federation.data_loss_escalations);
 }
 
-LibrarySimResult LoadLibrarySimResult(StateReader& r) {
-  LibrarySimResult result;
-  result.completion_times.LoadState(r);
-  result.requests_total = r.U64();
-  result.requests_completed = r.U64();
-  result.recovery_reads = r.U64();
-  result.makespan = r.F64();
-  result.travels = r.U64();
-  result.travel_times.LoadState(r);
-  result.congestion_wait_total = r.F64();
-  result.expected_travel_total = r.F64();
-  result.congestion_stops = r.U64();
-  result.travel_energy_total = r.F64();
-  result.platter_operations = r.U64();
-  result.drive_read_seconds = r.F64();
-  result.drive_verify_seconds = r.F64();
-  result.drive_switch_seconds = r.F64();
-  result.drive_idle_seconds = r.F64();
-  result.work_steals = r.U64();
-  result.shuttle_recharges = r.U64();
-  result.events_executed = r.U64();
-  result.congestion_detours = r.U64();
-  result.repartitions = r.U64();
-  r.Vec(result.repartition_history, [](StateReader& sr) {
-    LibrarySimResult::RepartitionEvent e;
-    e.time = sr.F64();
-    e.hot = sr.I32();
-    e.cold = sr.I32();
-    return e;
-  });
-  result.faults.shuttle_failures = r.U64();
-  result.faults.shuttle_repairs = r.U64();
-  result.faults.drive_failures = r.U64();
-  result.faults.drive_repairs = r.U64();
-  result.faults.rack_failures = r.U64();
-  result.faults.rack_repairs = r.U64();
-  result.faults.aborted_shuttle_jobs = r.U64();
-  result.faults.stranded_recoveries = r.U64();
-  result.faults.dark_retries = r.U64();
-  result.faults.converted_requests = r.U64();
-  result.amplified_requests = r.U64();
-  result.requests_failed = r.U64();
-  result.platters_written = r.U64();
-  result.platters_verified = r.U64();
-  result.verify_turnaround.LoadState(r);
-  result.scrub.aging_events = r.U64();
-  result.scrub.latent_sectors = r.U64();
-  result.scrub.scrubs_completed = r.U64();
-  result.scrub.scrub_detections = r.U64();
-  result.scrub.read_detections = r.U64();
-  result.scrub.rebuilds_started = r.U64();
-  result.scrub.rebuilds_completed = r.U64();
-  result.scrub.rebuild_retries = r.U64();
-  result.scrub.rebuild_reads = r.U64();
-  result.scrub.scrub_read_seconds = r.F64();
-  result.scrub.repair_read_seconds = r.F64();
-  result.scrub.lazy_admitted = r.U64();
-  result.scrub.lazy_drained = r.U64();
-  result.scrub.lazy_settled = r.U64();
-  result.scrub.lazy_drained_bytes = r.U64();
-  result.scrub.lazy_peak_queue = r.U64();
-  result.scrub.ledger.detected = r.U64();
-  for (int t = 0; t < kNumRepairTiers; ++t) {
-    result.scrub.ledger.repaired[t] = r.U64();
-  }
-  result.scrub.ledger.unrecoverable = r.U64();
-  result.scrub.ledger.bytes_lost = r.U64();
-  result.federation.injected_arrivals = r.U64();
-  result.federation.injected_resolved = r.U64();
-  result.federation.injected_failed = r.U64();
-  result.federation.injected_writes = r.U64();
-  result.federation.data_loss_escalations = r.U64();
-  return result;
+template void LibrarySimResult::Visit(StateWriter&);
+template void LibrarySimResult::Visit(StateReader&);
+
+void SaveLibrarySimResult(StateWriter& w, const LibrarySimResult& result) {
+  w(result);
 }
 
 LibrarySimResult SimulateLibrary(const LibrarySimConfig& config,
@@ -4432,7 +4144,8 @@ LibrarySimResult ResumeLibrary(const LibrarySimConfig& config,
   ValidateLibrarySimConfig(config);
   RejectTracedCheckpoint(config, "ResumeLibrary");
   Sim sim(config, trace);
-  sim.LoadCheckpointBytes(checkpoint.bytes);
+  StateReader r(checkpoint.bytes);
+  r(sim);
   return sim.Run();
 }
 

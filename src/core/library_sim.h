@@ -33,6 +33,7 @@
 
 namespace silica {
 
+class StateWriter;
 struct Telemetry;
 
 // Requests injected into a twin by the federation layer (geo-routed read
@@ -183,6 +184,11 @@ struct LibrarySimResult {
     double time = 0.0;
     int hot = 0;
     int cold = 0;
+
+    template <class Ar>
+    void Visit(Ar& ar) {
+      ar(time, hot, cold);
+    }
   };
   std::vector<RepartitionEvent> repartition_history;
 
@@ -250,6 +256,10 @@ struct LibrarySimResult {
     uint64_t data_loss_escalations = 0;  // on_data_loss hook firings
   } federation;
 
+  // Checkpoint field list (common/state_io.h).
+  template <class Ar>
+  void Visit(Ar& ar);
+
   double CongestionOverheadFraction() const {
     return expected_travel_total > 0.0 ? congestion_wait_total / expected_travel_total
                                        : 0.0;
@@ -307,9 +317,8 @@ LibrarySimResult ResumeLibrary(const LibrarySimConfig& config,
                                const LibraryCheckpoint& checkpoint);
 
 // Full-result serialization, used by the byte-identity tests to compare runs
-// without enumerating fields.
+// without enumerating fields; a StateReader loads them back (state_io.h).
 void SaveLibrarySimResult(StateWriter& w, const LibrarySimResult& result);
-LibrarySimResult LoadLibrarySimResult(StateReader& r);
 
 // Stepped flavor of SimulateLibrary for conservative parallel federation
 // (DESIGN.md section 18): the twin is driven in bounded time slices so a

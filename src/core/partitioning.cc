@@ -4,7 +4,6 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "common/state_io.h"
 
 namespace silica {
 namespace {
@@ -275,47 +274,6 @@ DrivePosition Partitioner::HomeOf(int partition) const {
   home.x = 0.5 * (p.x_min + p.x_max);
   home.shelf = (p.shelf_min + p.shelf_max) / 2;
   return home;
-}
-
-void Partitioner::SaveState(StateWriter& w) const {
-  w.U64(partitions_.size());
-  for (const Partition& p : partitions_) {
-    w.I32(p.index);
-    w.I32(p.side);
-    w.I32(p.shelf_min);
-    w.I32(p.shelf_max);
-    w.F64(p.x_min);
-    w.F64(p.x_max);
-    w.VecInt(p.drives);
-  }
-  w.Vec(history_, [](StateWriter& sw, const RebalanceStep& step) {
-    sw.I32(step.hot);
-    sw.I32(step.cold);
-    sw.F64(step.boundary_x);
-  });
-}
-
-void Partitioner::LoadState(StateReader& r) {
-  const uint64_t count = r.Len();
-  if (count != partitions_.size()) {
-    throw std::runtime_error("Partitioner::LoadState: partition count mismatch");
-  }
-  for (Partition& p : partitions_) {
-    p.index = r.I32();
-    p.side = r.I32();
-    p.shelf_min = r.I32();
-    p.shelf_max = r.I32();
-    p.x_min = r.F64();
-    p.x_max = r.F64();
-    p.drives = r.VecInt();
-  }
-  r.Vec(history_, [](StateReader& sr) {
-    RebalanceStep step;
-    step.hot = sr.I32();
-    step.cold = sr.I32();
-    step.boundary_x = sr.F64();
-    return step;
-  });
 }
 
 }  // namespace silica

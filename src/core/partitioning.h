@@ -15,8 +15,6 @@
 
 namespace silica {
 
-class StateReader;
-class StateWriter;
 
 struct Partition {
   int index = 0;
@@ -30,6 +28,11 @@ struct Partition {
   bool ContainsSlot(double x, int shelf) const {
     return shelf >= shelf_min && shelf <= shelf_max && x >= x_min && x < x_max;
   }
+
+  template <class Ar>
+  void Visit(Ar& ar) {
+    ar(index, side, shelf_min, shelf_max, x_min, x_max, drives);
+  }
 };
 
 // One dynamic-repartitioning step: a slice of the hot partition's rectangle was
@@ -40,6 +43,11 @@ struct RebalanceStep {
   int hot = 0;
   int cold = 0;
   double boundary_x = 0.0;
+
+  template <class Ar>
+  void Visit(Ar& ar) {
+    ar(hot, cold, boundary_x);
+  }
 };
 
 class Partitioner {
@@ -77,11 +85,14 @@ class Partitioner {
     return history_;
   }
 
-  // Checkpoint/restore: round-trips the rectangles (drive assignments included)
-  // and the rebalance history. Requires a Partitioner constructed for the same
-  // panel/partition count (throws on size mismatch).
-  void SaveState(StateWriter& w) const;
-  void LoadState(StateReader& r);
+  // Checkpoint field list (common/state_io.h): the rectangles (drive
+  // assignments included) and the rebalance history. Loading requires a
+  // Partitioner constructed for the same panel/partition count.
+  template <class Ar>
+  void Visit(Ar& ar) {
+    ar.Fixed(partitions_, "Partitioner checkpoint: partition count mismatch");
+    ar(history_);
+  }
 
  private:
   std::vector<Partition> partitions_;

@@ -6,8 +6,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "common/state_io.h"
-
 namespace silica {
 
 struct ReadRequest {
@@ -17,27 +15,12 @@ struct ReadRequest {
   uint64_t bytes = 0;        // user bytes requested
   uint64_t platter = 0;      // platter holding the data
   uint64_t parent = 0;       // nonzero for recovery sub-reads (Section 5)
+
+  template <class Ar>
+  void Visit(Ar& ar) {
+    ar(id, arrival, file_id, bytes, platter, parent);
+  }
 };
-
-inline void SaveRequest(StateWriter& w, const ReadRequest& r) {
-  w.U64(r.id);
-  w.F64(r.arrival);
-  w.U64(r.file_id);
-  w.U64(r.bytes);
-  w.U64(r.platter);
-  w.U64(r.parent);
-}
-
-inline ReadRequest LoadRequest(StateReader& r) {
-  ReadRequest request;
-  request.id = r.U64();
-  request.arrival = r.F64();
-  request.file_id = r.U64();
-  request.bytes = r.U64();
-  request.platter = r.U64();
-  request.parent = r.U64();
-  return request;
-}
 
 // A read trace is requests sorted by arrival time.
 using ReadTrace = std::vector<ReadRequest>;

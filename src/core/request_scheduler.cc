@@ -1,8 +1,10 @@
 #include "core/request_scheduler.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <stdexcept>
 
+#include "common/state_io.h"
 #include "telemetry/telemetry.h"
 
 namespace silica {
@@ -229,50 +231,18 @@ void RequestScheduler::ForEachQueuedPlatter(
   }
 }
 
-void RequestScheduler::SaveState(StateWriter& w) const {
-  w.VecI32(slots_);
-  w.U64(pool_.size());
-  for (const PlatterQueue& queue : pool_) {
-    w.Deq(queue.requests, [](StateWriter& sw, const ReadRequest& request) {
-      SaveRequest(sw, request);
-    });
-    w.U64(queue.bytes);
-    w.U64(queue.platter);
-    w.Bool(queue.in_use);
+template <class Ar>
+void RequestScheduler::Visit(Ar& ar) {
+  ar.Seq(slots_, slots_.size(), SIZE_MAX,
+         "RequestScheduler checkpoint: slot table shorter than reserved");
+  ar(pool_, free_, active_groups_, heap_, pending_requests_, total_bytes_);
+  if constexpr (Ar::kLoading) {
+    scratch_.clear();
+    PublishDepth();
   }
-  w.VecI32(free_);
-  w.U64(active_groups_);
-  w.Vec(heap_, [](StateWriter& sw, const Entry& entry) {
-    sw.F64(entry.first);
-    sw.U64(entry.second);
-  });
-  w.U64(pending_requests_);
-  w.U64(total_bytes_);
 }
 
-void RequestScheduler::LoadState(StateReader& r) {
-  slots_ = r.VecI32();
-  const uint64_t pool_size = r.Len();
-  pool_.clear();
-  pool_.resize(pool_size);
-  for (PlatterQueue& queue : pool_) {
-    r.Deq(queue.requests,
-          [](StateReader& sr) { return LoadRequest(sr); });
-    queue.bytes = r.U64();
-    queue.platter = r.U64();
-    queue.in_use = r.Bool();
-  }
-  free_ = r.VecI32();
-  active_groups_ = r.U64();
-  r.Vec(heap_, [](StateReader& sr) {
-    const double arrival = sr.F64();
-    const uint64_t platter = sr.U64();
-    return Entry{arrival, platter};
-  });
-  scratch_.clear();
-  pending_requests_ = r.U64();
-  total_bytes_ = r.U64();
-  PublishDepth();
-}
+template void RequestScheduler::Visit(StateWriter&);
+template void RequestScheduler::Visit(StateReader&);
 
 }  // namespace silica

@@ -32,8 +32,6 @@ namespace silica {
 
 class Counter;
 class Gauge;
-class StateReader;
-class StateWriter;
 struct Telemetry;
 
 class RequestScheduler {
@@ -84,9 +82,10 @@ class RequestScheduler {
   // free list, lazy-deletion heap), not just the logical queue contents, so a
   // restored scheduler reproduces the original's future slot assignments and
   // heap-compaction timing exactly — the blunt way to guarantee byte-identical
-  // replay. Telemetry handles are untouched.
-  void SaveState(StateWriter& w) const;
-  void LoadState(StateReader& r);
+  // replay. Telemetry handles are untouched. The slot table holds at least
+  // the platters reserved before the load.
+  template <class Ar>
+  void Visit(Ar& ar);
 
  private:
   struct PlatterQueue {
@@ -94,6 +93,11 @@ class RequestScheduler {
     uint64_t bytes = 0;
     uint64_t platter = 0;
     bool in_use = false;
+
+    template <class Ar>
+    void Visit(Ar& ar) {
+      ar(requests, bytes, platter, in_use);
+    }
   };
   // (oldest arrival, platter): min-heap entries for earliest-first selection.
   using Entry = std::pair<double, uint64_t>;

@@ -18,7 +18,6 @@
 #include <optional>
 #include <vector>
 
-#include "common/state_io.h"
 #include "ecc/repair.h"
 
 namespace silica {
@@ -61,6 +60,11 @@ struct PlatterHealth {
   double last_scrub = -1e30;  // set when a scrub is *dispatched*
   bool rebuilding = false;    // tier-3 rebuild in flight; platter reads degrade
   bool lost = false;          // rebuild abandoned; bytes_lost recorded
+
+  template <class Ar>
+  void Visit(Ar& ar) {
+    ar(latent, last_scrub, rebuilding, lost);
+  }
 
   uint64_t TotalLatent() const {
     uint64_t total = 0;
@@ -144,37 +148,18 @@ class ScrubScheduler {
     return std::nullopt;
   }
 
-  // Checkpoint/restore: round-trips per-platter health, suspect queue (order
-  // matters — suspects drain FIFO), and the round-robin cursor. The config is
-  // rebuilt from LibrarySimConfig, not serialized.
-  void SaveState(StateWriter& w) const {
-    w.U64(health_.size());
-    for (const PlatterHealth& h : health_) {
-      for (int t = 0; t < kNumRepairTiers; ++t) {
-        w.U64(h.latent[t]);
-      }
-      w.F64(h.last_scrub);
-      w.Bool(h.rebuilding);
-      w.Bool(h.lost);
-    }
-    w.VecU8(suspect_flag_);
-    w.Deq(suspects_, [](StateWriter& sw, uint64_t p) { sw.U64(p); });
-    w.U64(cursor_);
-  }
-  void LoadState(StateReader& r) {
-    const uint64_t count = r.Len();
-    health_.assign(count, PlatterHealth{});
-    for (PlatterHealth& h : health_) {
-      for (int t = 0; t < kNumRepairTiers; ++t) {
-        h.latent[t] = r.U64();
-      }
-      h.last_scrub = r.F64();
-      h.rebuilding = r.Bool();
-      h.lost = r.Bool();
-    }
-    suspect_flag_ = r.VecU8();
-    r.Deq(suspects_, [](StateReader& sr) { return sr.U64(); });
-    cursor_ = r.U64();
+  // Checkpoint field list (common/state_io.h): per-platter health, the
+  // suspect queue (order matters — suspects drain FIFO), and the round-robin
+  // cursor. The config is rebuilt from LibrarySimConfig, not serialized.
+  // Health covers at least the platters known at Init (it only grows), and
+  // the suspect flags cover exactly the same platters.
+  template <class Ar>
+  void Visit(Ar& ar) {
+    ar.Seq(health_, health_.size(), SIZE_MAX,
+           "ScrubScheduler checkpoint: platter health table shrank");
+    ar.Seq(suspect_flag_, health_.size(), health_.size(),
+           "ScrubScheduler checkpoint: suspect flags do not match health");
+    ar(suspects_, cursor_);
   }
 
  private:

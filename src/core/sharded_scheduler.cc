@@ -125,43 +125,19 @@ void ShardedScheduler::CompactHeapIfNeeded() {
   std::make_heap(heap_.begin(), heap_.end());
 }
 
-void ShardedScheduler::SaveState(StateWriter& w) const {
-  w.U64(shards_.size());
-  for (const RequestScheduler& shard : shards_) {
-    shard.SaveState(w);
+template <class Ar>
+void ShardedScheduler::Visit(Ar& ar) {
+  ar.Fixed(shards_, "ShardedScheduler checkpoint: shard count mismatch");
+  ar(heap_);
+  ar.Fixed(seen_epoch_, "ShardedScheduler checkpoint: shard count mismatch");
+  ar.Fixed(scan_failed_, "ShardedScheduler checkpoint: shard count mismatch");
+  ar(epoch_, nonzero_shards_, live_nonzero_, mutation_epoch_);
+  if constexpr (Ar::kLoading) {
+    scratch_.clear();
   }
-  w.Vec(heap_, [](StateWriter& sw, const Entry& entry) {
-    sw.U64(entry.first);
-    sw.I32(entry.second);
-  });
-  w.VecU64(seen_epoch_);
-  w.VecU8(scan_failed_);
-  w.U64(epoch_);
-  w.I32(nonzero_shards_);
-  w.I32(live_nonzero_);
-  w.U64(mutation_epoch_);
 }
 
-void ShardedScheduler::LoadState(StateReader& r) {
-  const uint64_t num_shards = r.Len();
-  if (num_shards != shards_.size()) {
-    throw std::runtime_error("ShardedScheduler::LoadState: shard count mismatch");
-  }
-  for (RequestScheduler& shard : shards_) {
-    shard.LoadState(r);
-  }
-  r.Vec(heap_, [](StateReader& sr) {
-    const uint64_t bytes = sr.U64();
-    const int shard = sr.I32();
-    return Entry{bytes, shard};
-  });
-  scratch_.clear();
-  seen_epoch_ = r.VecU64();
-  scan_failed_ = r.VecU8();
-  epoch_ = r.U64();
-  nonzero_shards_ = r.I32();
-  live_nonzero_ = r.I32();
-  mutation_epoch_ = r.U64();
-}
+template void ShardedScheduler::Visit(StateWriter&);
+template void ShardedScheduler::Visit(StateReader&);
 
 }  // namespace silica

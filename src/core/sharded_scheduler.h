@@ -32,8 +32,6 @@
 
 namespace silica {
 
-class StateReader;
-class StateWriter;
 struct Telemetry;
 
 class ShardedScheduler {
@@ -172,10 +170,10 @@ class ShardedScheduler {
 
   // Checkpoint/restore: serializes every shard's physical state plus the donor
   // heap, scan memos, and epochs verbatim — donor enumeration order and memo
-  // validity are behavior, so they must replay exactly. Requires a router
-  // Init()ed with the same shard count before LoadState.
-  void SaveState(StateWriter& w) const;
-  void LoadState(StateReader& r);
+  // validity are behavior, so they must replay exactly. Loading requires a
+  // router Init()ed with the same shard count.
+  template <class Ar>
+  void Visit(Ar& ar);
 
  private:
   // (queued bytes, shard): max-heap entries for most-loaded-first enumeration.

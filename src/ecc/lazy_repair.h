@@ -22,7 +22,6 @@
 #include <set>
 #include <vector>
 
-#include "common/state_io.h"
 #include "ecc/repair.h"
 
 namespace silica {
@@ -44,6 +43,14 @@ struct LazyRepairEntry {
   int drive = -1;        // drive that detected the damage (billing target)
   double admitted_at = 0.0;
   uint64_t seq = 0;  // admission order; final FIFO tie-break
+
+  template <class Ar>
+  void Visit(Ar& ar) {
+    ar(platter, remaining_redundancy);
+    ar.Enum(tier, RepairTier::kPlatterSet,
+            "LazyRepairQueue checkpoint: repair tier out of range");
+    ar(sectors, bytes, drive, admitted_at, seq);
+  }
 };
 
 class LazyRepairQueue {
@@ -132,35 +139,12 @@ class LazyRepairQueue {
     return popped;
   }
 
-  // Checkpoint/restore.
-  void SaveState(StateWriter& w) const {
-    w.U64(entries_.size());
-    for (const LazyRepairEntry& e : entries_) {
-      SaveEntry(w, e);
-    }
-    w.F64(tokens_);
-    w.F64(last_accrual_);
-    w.U64(next_seq_);
-    w.U64(queued_bytes_);
-    w.U64(admitted_);
-    w.U64(drained_);
-    w.U64(admitted_bytes_);
-    w.U64(drained_bytes_);
-  }
-  void LoadState(StateReader& r) {
-    entries_.clear();
-    const uint64_t count = r.Len();
-    for (uint64_t i = 0; i < count; ++i) {
-      entries_.insert(LoadEntry(r));
-    }
-    tokens_ = r.F64();
-    last_accrual_ = r.F64();
-    next_seq_ = r.U64();
-    queued_bytes_ = r.U64();
-    admitted_ = r.U64();
-    drained_ = r.U64();
-    admitted_bytes_ = r.U64();
-    drained_bytes_ = r.U64();
+  // Checkpoint field list (common/state_io.h). The config is not serialized;
+  // the caller re-applies it with Configure before loading.
+  template <class Ar>
+  void Visit(Ar& ar) {
+    ar(entries_, tokens_, last_accrual_, next_seq_, queued_bytes_, admitted_,
+       drained_, admitted_bytes_, drained_bytes_);
   }
 
  private:
@@ -175,29 +159,6 @@ class LazyRepairQueue {
       return a.seq < b.seq;
     }
   };
-
-  static void SaveEntry(StateWriter& w, const LazyRepairEntry& e) {
-    w.U64(e.platter);
-    w.I32(e.remaining_redundancy);
-    w.U8(static_cast<uint8_t>(e.tier));
-    w.U64(e.sectors);
-    w.U64(e.bytes);
-    w.I32(e.drive);
-    w.F64(e.admitted_at);
-    w.U64(e.seq);
-  }
-  static LazyRepairEntry LoadEntry(StateReader& r) {
-    LazyRepairEntry e;
-    e.platter = r.U64();
-    e.remaining_redundancy = r.I32();
-    e.tier = static_cast<RepairTier>(r.U8());
-    e.sectors = r.U64();
-    e.bytes = r.U64();
-    e.drive = r.I32();
-    e.admitted_at = r.F64();
-    e.seq = r.U64();
-    return e;
-  }
 
   void Accrue(double now) {
     if (now > last_accrual_) {

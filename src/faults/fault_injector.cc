@@ -1,6 +1,7 @@
 #include "faults/fault_injector.h"
 
 #include <stdexcept>
+#include <string>
 
 #include "common/state_io.h"
 #include "telemetry/telemetry.h"
@@ -171,37 +172,17 @@ void FaultInjector::StopInjecting() {
   }
 }
 
-void FaultInjector::SaveState(StateWriter& w) const {
-  w.U64(components_.size());
-  for (const Component& component : components_) {
-    component.rng.SaveState(w);
-    w.Bool(component.down);
+template <class Ar>
+void FaultInjector::Visit(Ar& ar) {
+  ar.Fixed(components_, "FaultInjector checkpoint: component count mismatch");
+  for (ClassStats& stats : stats_) {
+    ar(stats.failures, stats.repairs);
   }
-  for (const ClassStats& stats : stats_) {
-    w.U64(stats.failures);
-    w.U64(stats.repairs);
-  }
-  w.Bool(stopped_);
+  ar(stopped_);
 }
 
-void FaultInjector::LoadState(StateReader& r) {
-  const uint64_t count = r.U64();
-  if (count != components_.size()) {
-    throw std::runtime_error(
-        "FaultInjector::LoadState: component count mismatch");
-  }
-  for (Component& component : components_) {
-    component.rng.LoadState(r);
-    component.down = r.Bool();
-    component.pending = Simulator::kInvalidEvent;
-    component.repair_event = Simulator::kInvalidEvent;
-  }
-  for (ClassStats& stats : stats_) {
-    stats.failures = r.U64();
-    stats.repairs = r.U64();
-  }
-  stopped_ = r.Bool();
-}
+template void FaultInjector::Visit(StateWriter&);
+template void FaultInjector::Visit(StateReader&);
 
 void FaultInjector::CollectPending(std::vector<PendingFault>& out) const {
   for (size_t i = 0; i < components_.size(); ++i) {
@@ -217,15 +198,25 @@ void FaultInjector::CollectPending(std::vector<PendingFault>& out) const {
   }
 }
 
+FaultInjector::Component& FaultInjector::RearmTarget(int component_index) {
+  if (component_index < 0 ||
+      static_cast<size_t>(component_index) >= components_.size()) {
+    throw std::runtime_error("FaultInjector: re-armed component " +
+                             std::to_string(component_index) +
+                             " out of range");
+  }
+  return components_[static_cast<size_t>(component_index)];
+}
+
 void FaultInjector::RearmFailureAt(int component_index, double at) {
-  Component& component = components_[static_cast<size_t>(component_index)];
+  Component& component = RearmTarget(component_index);
   component.pending =
       sim_.ScheduleAt(at, [this, &component] { OnFailure(component); });
   component.pending_at = at;
 }
 
 void FaultInjector::RearmRepairAt(int component_index, double at) {
-  Component& component = components_[static_cast<size_t>(component_index)];
+  Component& component = RearmTarget(component_index);
   component.repair_event =
       sim_.ScheduleAt(at, [this, &component] { OnRepair(component); });
   component.repair_at = at;

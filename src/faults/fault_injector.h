@@ -30,8 +30,6 @@
 namespace silica {
 
 class Counter;
-class StateReader;
-class StateWriter;
 struct Telemetry;
 
 // One component class's failure/repair law. `uptime` samples time-to-failure
@@ -129,22 +127,24 @@ class FaultInjector {
 
   // --- Checkpoint/restore (DESIGN.md section 17) -----------------------------
   //
-  // SaveState/LoadState round-trip the renewal-process state that is *not* in
-  // the event queue: per-component RNG streams, down flags, class stats, and
-  // the stopped flag. The queued failure/repair events are exposed separately
-  // via CollectPending so the host can merge them with its own pending events
-  // into one id-ordered re-arm list (preserving the global FIFO tie order),
-  // then re-schedule each through RearmFailureAt/RearmRepairAt.
+  // Visit (common/state_io.h) covers the renewal-process state that is *not*
+  // in the event queue: per-component RNG streams, down flags, class stats,
+  // and the stopped flag. Loading requires an injector constructed with the
+  // identical config and component counts (throws on a component-count
+  // mismatch) and schedules nothing. The queued failure/repair events are
+  // exposed separately via CollectPending so the host can merge them with its
+  // own pending events into one id-ordered re-arm list (preserving the global
+  // FIFO tie order), then re-schedule each through RearmFailureAt /
+  // RearmRepairAt, which reject a component index outside
+  // [0, num_components()).
   struct PendingFault {
     Simulator::EventId id = Simulator::kInvalidEvent;  // original event id
     int component = 0;                                 // index into components_
     bool is_repair = false;
     double at = 0.0;  // absolute fire time
   };
-  void SaveState(StateWriter& w) const;
-  // Requires an injector constructed with the identical config and component
-  // counts (throws on component-count mismatch). Does not schedule anything.
-  void LoadState(StateReader& r);
+  template <class Ar>
+  void Visit(Ar& ar);
   void CollectPending(std::vector<PendingFault>& out) const;
   void RearmFailureAt(int component, double at);
   void RearmRepairAt(int component, double at);
@@ -168,6 +168,16 @@ class FaultInjector {
     double pending_at = 0.0;  // absolute fire time of `pending` (checkpointing)
     Simulator::EventId repair_event = Simulator::kInvalidEvent;
     double repair_at = 0.0;
+
+    // Queued events are re-armed by the host, not serialized here.
+    template <class Ar>
+    void Visit(Ar& ar) {
+      ar(rng, down);
+      if constexpr (Ar::kLoading) {
+        pending = Simulator::kInvalidEvent;
+        repair_event = Simulator::kInvalidEvent;
+      }
+    }
   };
 
   const FaultProcess& ProcessOf(Class cls) const;
@@ -178,6 +188,7 @@ class FaultInjector {
   void OnRepair(Component& component);
   void NotifyDown(const Component& component);
   void NotifyRepaired(const Component& component);
+  Component& RearmTarget(int component_index);
 
   Simulator& sim_;
   FaultHost& host_;

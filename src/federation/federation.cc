@@ -565,30 +565,20 @@ FederationResult SimulateFederation(const FederationConfig& config) {
   return result;
 }
 
+template <class Ar>
+void FederationResult::Visit(Ar& ar) {
+  ar(libraries, messages_sent, messages_delivered, messages_dropped,
+     messages_in_flight, bytes_sent, geo_reads, geo_routed, geo_unroutable,
+     geo_completed, geo_failed, geo_completion_times, repair_transfers,
+     repair_bytes, replication_writes, epochs, lookahead_s, events_executed,
+     makespan);
+}
+
+template void FederationResult::Visit(StateWriter&);
+template void FederationResult::Visit(StateReader&);
+
 void SaveFederationResult(StateWriter& w, const FederationResult& result) {
-  w.U64(static_cast<uint64_t>(result.libraries.size()));
-  for (const LibrarySimResult& lib : result.libraries) {
-    SaveLibrarySimResult(w, lib);
-  }
-  w.U64(result.messages_sent);
-  w.U64(result.messages_delivered);
-  w.U64(result.messages_dropped);
-  w.U64(result.messages_in_flight);
-  w.U64(result.bytes_sent);
-  w.U64(result.geo_reads);
-  w.U64(result.geo_routed);
-  w.U64(result.geo_unroutable);
-  w.U64(result.geo_completed);
-  w.U64(result.geo_failed);
-  result.geo_completion_times.SaveState(w);
-  w.U64(result.repair_transfers);
-  w.U64(result.repair_bytes);
-  w.U64(result.replication_writes);
-  w.U64(result.epochs);
-  w.F64(result.lookahead_s);
-  w.U64(result.events_executed);
-  w.F64(result.makespan);
-  // wall_seconds deliberately excluded: it is the one nondeterministic field.
+  w(result);
 }
 
 }  // namespace silica

@@ -103,6 +103,11 @@ struct FederationResult {
   uint64_t events_executed = 0;  // summed over libraries
   double makespan = 0.0;         // max over libraries
   double wall_seconds = 0.0;
+
+  // Checkpoint field list (common/state_io.h); wall_seconds is deliberately
+  // excluded: it is the one nondeterministic field.
+  template <class Ar>
+  void Visit(Ar& ar);
 };
 
 // Deterministic: a pure function of `config` — in particular, independent of

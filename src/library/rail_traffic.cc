@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "common/state_io.h"
 #include "telemetry/telemetry.h"
 
 namespace silica {
@@ -127,29 +126,6 @@ void RailTraffic::Expire(double now) {
   for (auto& watermark : lane_max_) {
     watermark = std::min(watermark, now + 60.0);
   }
-}
-
-void RailTraffic::SaveState(StateWriter& w) const {
-  w.U64(busy_until_.size());
-  for (const std::vector<double>& lane : busy_until_) {
-    w.VecF64(lane);
-  }
-  w.VecF64(lane_max_);
-}
-
-void RailTraffic::LoadState(StateReader& r) {
-  const uint64_t lanes = r.Len();
-  if (lanes != busy_until_.size()) {
-    throw std::runtime_error("RailTraffic::LoadState: lane count mismatch");
-  }
-  for (std::vector<double>& lane : busy_until_) {
-    std::vector<double> loaded = r.VecF64();
-    if (loaded.size() != lane.size()) {
-      throw std::runtime_error("RailTraffic::LoadState: segment count mismatch");
-    }
-    lane = std::move(loaded);
-  }
-  lane_max_ = r.VecF64();
 }
 
 }  // namespace silica

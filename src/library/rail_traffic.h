@@ -15,8 +15,6 @@
 namespace silica {
 
 class Counter;
-class StateReader;
-class StateWriter;
 struct Telemetry;
 
 class RailTraffic {
@@ -59,11 +57,18 @@ class RailTraffic {
   // Forgets reservations older than `horizon` (keeps the table small in long runs).
   void Expire(double now);
 
-  // Checkpoint/restore: the reservation table and lane watermarks are live
-  // state (in-flight traversals shape future congestion waits), so they
-  // round-trip verbatim. Requires matching lane/segment geometry.
-  void SaveState(StateWriter& w) const;
-  void LoadState(StateReader& r);
+  // Checkpoint field list (common/state_io.h): the reservation table and
+  // lane watermarks are live state (in-flight traversals shape future
+  // congestion waits), so they round-trip verbatim. Loading requires matching
+  // lane/segment geometry.
+  template <class Ar>
+  void Visit(Ar& ar) {
+    ar.Fixed(busy_until_, "RailTraffic checkpoint: lane count mismatch",
+             [](Ar& a, std::vector<double>& lane) {
+               a.Fixed(lane, "RailTraffic checkpoint: segment count mismatch");
+             });
+    ar.Fixed(lane_max_, "RailTraffic checkpoint: lane count mismatch");
+  }
 
  private:
   // busy_until_[lane][segment]: the time the segment becomes free.

@@ -206,67 +206,10 @@ DurabilityModel::StepOutcome DurabilityModel::Step(DurabilityState& s) const {
   throw std::logic_error("DurabilityModel::Step: unreachable");
 }
 
-void DurabilityModel::SaveState(StateWriter& w, const DurabilityState& s) const {
-  w.F64(s.now);
-  s.rng.SaveState(w);
-  w.U64(s.sets.size());
-  for (const DurabilitySetState& set : s.sets) {
-    w.I32(set.failed);
-    w.VecF64(set.detect_at);
-    w.VecF64(set.repair_done);
-    w.I32(set.queued);
-  }
-  w.I64(s.alive);
-  w.F64(s.next_failure);
-  w.Vec(s.queue, [](StateWriter& sw, const DurabilityLazyItem& item) {
-    sw.I32(item.set);
-    sw.F64(item.detected_at);
-    sw.U64(item.seq);
-  });
-  w.I32(s.service_set);
-  w.F64(s.service_done);
-  w.U64(s.next_seq);
-  w.I32(s.max_failed);
-  w.Bool(s.lost);
-  w.I32(s.lost_set);
-  w.F64(s.loss_time);
-  w.U64(s.failures);
-  w.U64(s.repairs);
-}
-
-DurabilityState DurabilityModel::LoadState(StateReader& r) const {
+DurabilityState DurabilityModel::Restore(StateReader& r) const {
   DurabilityState s;
-  s.now = r.F64();
-  s.rng.LoadState(r);
-  const uint64_t count = r.Len();
-  if (count != static_cast<uint64_t>(config_.num_sets)) {
-    throw std::runtime_error("DurabilityModel::LoadState: set count mismatch");
-  }
-  s.sets.assign(count, DurabilitySetState{});
-  for (DurabilitySetState& set : s.sets) {
-    set.failed = r.I32();
-    set.detect_at = r.VecF64();
-    set.repair_done = r.VecF64();
-    set.queued = r.I32();
-  }
-  s.alive = r.I64();
-  s.next_failure = r.F64();
-  r.Vec(s.queue, [](StateReader& sr) {
-    DurabilityLazyItem item;
-    item.set = sr.I32();
-    item.detected_at = sr.F64();
-    item.seq = sr.U64();
-    return item;
-  });
-  s.service_set = r.I32();
-  s.service_done = r.F64();
-  s.next_seq = r.U64();
-  s.max_failed = r.I32();
-  s.lost = r.Bool();
-  s.lost_set = r.I32();
-  s.loss_time = r.F64();
-  s.failures = r.U64();
-  s.repairs = r.U64();
+  s.sets.resize(static_cast<size_t>(config_.num_sets));
+  r(s);
   return s;
 }
 

@@ -45,7 +45,6 @@
 namespace silica {
 
 class StateReader;
-class StateWriter;
 
 struct DurabilityConfig {
   int num_sets = 256;
@@ -74,12 +73,22 @@ struct DurabilitySetState {
   std::vector<double> detect_at;    // pending detection times (unsorted)
   std::vector<double> repair_done;  // eager in-flight repair completions
   int queued = 0;                   // lazy failures admitted (incl. in service)
+
+  template <class Ar>
+  void Visit(Ar& ar) {
+    ar(failed, detect_at, repair_done, queued);
+  }
 };
 
 struct DurabilityLazyItem {
   int set = -1;
   double detected_at = 0.0;
   uint64_t seq = 0;
+
+  template <class Ar>
+  void Visit(Ar& ar) {
+    ar(set, detected_at, seq);
+  }
 };
 
 // Full trajectory state: copy-constructible == checkpointable.
@@ -99,6 +108,16 @@ struct DurabilityState {
   double loss_time = 0.0;
   uint64_t failures = 0;
   uint64_t repairs = 0;
+
+  // Checkpoint field list (common/state_io.h). `sets` must be sized to the
+  // model's set count before a load; DurabilityModel::Restore does that.
+  template <class Ar>
+  void Visit(Ar& ar) {
+    ar(now, rng);
+    ar.Fixed(sets, "DurabilityModel checkpoint: set count mismatch");
+    ar(alive, next_failure, queue, service_set, service_done, next_seq,
+       max_failed, lost, lost_set, loss_time, failures, repairs);
+  }
 };
 
 class DurabilityModel {
@@ -121,10 +140,10 @@ class DurabilityModel {
   // terminal and Step must not be called again.
   StepOutcome Step(DurabilityState& s) const;
 
-  // Explicit serialization (checkpoint-format round-trip test; splitting
-  // itself uses struct copies).
-  void SaveState(StateWriter& w, const DurabilityState& s) const;
-  DurabilityState LoadState(StateReader& r) const;
+  // Loads a state saved through a StateWriter (checkpoint-format round-trip
+  // test; splitting itself uses struct copies). Throws on a set-count
+  // mismatch with this model's config.
+  DurabilityState Restore(StateReader& r) const;
 
  private:
   double FailRatePerSecond() const;

@@ -195,59 +195,45 @@ void MetricsRegistry::Merge(const MetricsRegistry& other) {
   }
 }
 
-void MetricsRegistry::SaveState(StateWriter& w) const {
-  const auto sorted = SortedEntries();
-  w.U64(sorted.size());
-  for (const auto* item : sorted) {
-    const auto& [key, entry] = *item;
-    w.Str(key.first);
-    w.U64(entry.labels.size());
-    for (const auto& [label_key, label_value] : entry.labels) {
-      w.Str(label_key);
-      w.Str(label_value);
-    }
-    w.U8(static_cast<uint8_t>(entry.kind));
-    switch (entry.kind) {
-      case Kind::kCounter:
-        w.F64(entry.counter->value_);
-        break;
-      case Kind::kGauge:
-        w.F64(entry.gauge->value());
-        break;
-      case Kind::kHistogram:
-        entry.histogram->SaveState(w);
-        break;
+template <class Ar>
+void MetricsRegistry::Visit(Ar& ar) {
+  struct Item {
+    std::string name;
+    MetricLabels labels;
+    Kind kind = Kind::kCounter;
+    Entry* entry = nullptr;
+  };
+  std::vector<Item> items;
+  if constexpr (!Ar::kLoading) {
+    for (const auto* sorted : SortedEntries()) {
+      const auto& [key, entry] = *sorted;
+      items.push_back(
+          {key.first, entry.labels, entry.kind, &metrics_.find(key)->second});
     }
   }
+  ar.Seq(items, [this](Ar& a, Item& item) {
+    a(item.name, item.labels);
+    a.Enum(item.kind, Kind::kHistogram,
+           "MetricsRegistry checkpoint: metric kind out of range");
+    if constexpr (Ar::kLoading) {
+      item.entry = &FindOrCreate(item.name, item.labels, item.kind);
+    }
+    switch (item.kind) {
+      case Kind::kCounter:
+        a(item.entry->counter->value_);
+        break;
+      case Kind::kGauge:
+        a(item.entry->gauge->value_);
+        break;
+      case Kind::kHistogram:
+        a(*item.entry->histogram);
+        break;
+    }
+  });
 }
 
-void MetricsRegistry::LoadState(StateReader& r) {
-  const uint64_t n = r.Len();
-  for (uint64_t i = 0; i < n; ++i) {
-    const std::string name = r.Str();
-    const uint64_t num_labels = r.Len();
-    MetricLabels labels;
-    labels.reserve(num_labels);
-    for (uint64_t j = 0; j < num_labels; ++j) {
-      std::string key = r.Str();
-      std::string value = r.Str();
-      labels.emplace_back(std::move(key), std::move(value));
-    }
-    const Kind kind = static_cast<Kind>(r.U8());
-    Entry& entry = FindOrCreate(name, std::move(labels), kind);
-    switch (kind) {
-      case Kind::kCounter:
-        entry.counter->value_ = r.F64();
-        break;
-      case Kind::kGauge:
-        entry.gauge->Set(r.F64());
-        break;
-      case Kind::kHistogram:
-        entry.histogram->LoadState(r);
-        break;
-    }
-  }
-}
+template void MetricsRegistry::Visit(StateWriter&);
+template void MetricsRegistry::Visit(StateReader&);
 
 std::string MetricsRegistry::ToPrometheusText() const {
   std::string out;

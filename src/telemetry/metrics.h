@@ -39,7 +39,7 @@ class Counter {
   double value() const { return value_; }
 
  private:
-  friend class MetricsRegistry;  // LoadState restores the exact bit pattern
+  friend class MetricsRegistry;  // Visit restores the exact bit pattern
   double value_ = 0.0;
 };
 
@@ -50,6 +50,7 @@ class Gauge {
   double value() const { return value_; }
 
  private:
+  friend class MetricsRegistry;  // Visit restores the exact bit pattern
   double value_ = 0.0;
 };
 
@@ -71,14 +72,10 @@ class Histogram {
   double max() const { return stats_.max(); }
   double Percentile(double q) const { return percentiles_.Percentile(q); }
 
-  // Exact state round-trip for checkpoint/restore.
-  void SaveState(StateWriter& w) const {
-    stats_.SaveState(w);
-    percentiles_.SaveState(w);
-  }
-  void LoadState(StateReader& r) {
-    stats_.LoadState(r);
-    percentiles_.LoadState(r);
+  // Checkpoint field list (common/state_io.h).
+  template <class Ar>
+  void Visit(Ar& ar) {
+    ar(stats_, percentiles_);
   }
 
  private:
@@ -105,13 +102,13 @@ class MetricsRegistry {
   // Absorbs `other`: counters add, gauges take other's value, histograms merge.
   void Merge(const MetricsRegistry& other);
 
-  // Exact state round-trip for checkpoint/restore. SaveState serializes entries
-  // in the deterministic (name, labels) export order; LoadState *overwrites*
-  // matching metrics (creating missing ones) so a restored run's registry ends
+  // Checkpoint field list (common/state_io.h). Entries go out in the
+  // deterministic (name, labels) export order; a load *overwrites* matching
+  // metrics (creating missing ones) so a restored run's registry ends
   // byte-identical to an uninterrupted one. Handles returned by Get* before
-  // LoadState stay valid — entries are updated in place, never recreated.
-  void SaveState(StateWriter& w) const;
-  void LoadState(StateReader& r);
+  // a load stay valid — entries are updated in place, never recreated.
+  template <class Ar>
+  void Visit(Ar& ar);
 
   size_t size() const { return metrics_.size(); }
 

@@ -10,15 +10,28 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
+#include <functional>
 #include <stdexcept>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
 #include "common/state_io.h"
 #include "common/units.h"
 #include "core/library_sim.h"
+#include "core/partitioning.h"
+#include "core/request_scheduler.h"
+#include "core/scrub.h"
+#include "core/sharded_scheduler.h"
+#include "ecc/lazy_repair.h"
 #include "faults/fault_injector.h"
 #include "faults/media_aging.h"
+#include "federation/federation.h"
+#include "library/panel.h"
+#include "library/rail_traffic.h"
+#include "sim/durability_model.h"
 #include "sim/simulator.h"
 #include "telemetry/telemetry.h"
 #include "workload/trace_gen.h"
@@ -38,12 +51,12 @@ TEST(RngState, RoundTripResumesIdenticalStreamAcrossSeeds) {
       rng.NextU64();
     }
     StateWriter w;
-    rng.SaveState(w);
+    w(rng);
     const auto bytes = w.Take();
 
-    Rng restored(0);  // deliberately different seed; LoadState must override
+    Rng restored(0);  // deliberately different seed; loading must override
     StateReader r(bytes);
-    restored.LoadState(r);
+    r(restored);
     EXPECT_TRUE(r.AtEnd()) << "seed " << seed;
 
     for (int i = 0; i < 100; ++i) {
@@ -117,7 +130,7 @@ TEST(FaultInjectorState, RoundTripReplaysIdenticalScheduleAcrossSeeds) {
     cap.Start();
     cap_sim.Run(pause_at);
     StateWriter w;
-    cap.SaveState(w);
+    w(cap);
     std::vector<FaultInjector::PendingFault> pending;
     cap.CollectPending(pending);
     const auto bytes = w.Take();
@@ -128,7 +141,7 @@ TEST(FaultInjectorState, RoundTripReplaysIdenticalScheduleAcrossSeeds) {
     TapeHost res_host(res_sim);
     FaultInjector res(res_sim, res_host, config, Rng(seed + 1), 4, 3, 2);
     StateReader r(bytes);
-    res.LoadState(r);
+    r(res);
     ASSERT_TRUE(r.AtEnd()) << "seed " << seed;
     res_sim.Restore(pause_at, 0, 0, 0);
     for (const auto& p : pending) {
@@ -166,13 +179,13 @@ TEST(FaultInjectorState, LoadStateRejectsComponentCountMismatch) {
   const auto config = MixedFaults();
   FaultInjector a(sim, host, config, Rng(1), 4, 3, 2);
   StateWriter w;
-  a.SaveState(w);
+  w(a);
   const auto bytes = w.Take();
 
   Simulator sim2;
   FaultInjector b(sim2, host, config, Rng(1), 5, 3, 2);
   StateReader r(bytes);
-  EXPECT_THROW(b.LoadState(r), std::runtime_error);
+  EXPECT_THROW(r(b), std::runtime_error);
 }
 
 // ---------------------------------------------------------------------------
@@ -281,9 +294,9 @@ TEST(Checkpoint, RestoredMetricsRegistryMatchesUninterruptedRun) {
 
   EXPECT_EQ(ResultBytes(res_result), ResultBytes(ref_result));
   StateWriter ref_w;
-  ref_tel.metrics.SaveState(ref_w);
+  ref_w(ref_tel.metrics);
   StateWriter res_w;
-  res_tel.metrics.SaveState(res_w);
+  res_w(res_tel.metrics);
   EXPECT_EQ(ref_w.Take(), res_w.Take())
       << "metrics registry diverged across the snapshot boundary";
 }
@@ -372,11 +385,509 @@ TEST(Checkpoint, ResultSerializationRoundTrips) {
   SaveLibrarySimResult(w, result);
   const auto bytes = w.Take();
   StateReader r(bytes);
-  const auto reloaded = LoadLibrarySimResult(r);
+  LibrarySimResult reloaded;
+  r(reloaded);
   EXPECT_TRUE(r.AtEnd());
   EXPECT_EQ(ResultBytes(reloaded), bytes);
   EXPECT_EQ(reloaded.requests_completed, result.requests_completed);
   EXPECT_EQ(reloaded.scrub.ledger.detected, result.scrub.ledger.detected);
+}
+
+// ---------------------------------------------------------------------------
+// Byte round-trip table: for every type with a Visit, Save -> Load -> Save
+// reproduces the saved bytes exactly. Results, metrics and completion-time
+// trackers come straight from a storm run; the twin's internal components
+// (scheduler shards, partitioner, rails, scrub, lazy queue, fault injector)
+// are driven through their own APIs with the storm trace, since the twin's
+// instances are private to it.
+// ---------------------------------------------------------------------------
+
+using Bytes = std::vector<uint8_t>;
+
+template <class T>
+Bytes SaveBytes(const T& value) {
+  StateWriter w;
+  w(value);
+  return w.Take();
+}
+
+// Saves `live`, loads the bytes into `fresh` (constructed with the same
+// config-derived shape), and returns both saves.
+template <class T>
+std::pair<Bytes, Bytes> SaveLoadSave(const T& live, T& fresh) {
+  Bytes first = SaveBytes(live);
+  StateReader r(first);
+  r(fresh);
+  EXPECT_TRUE(r.AtEnd());
+  return {std::move(first), SaveBytes(fresh)};
+}
+
+ReadTrace StormTrace(const LibrarySimConfig& config) {
+  return UniformTrace(120, 5.0, config.num_info_platters, 4 * kMiB);
+}
+
+// Storm run with live metrics, shared by the table's rows.
+struct StormRun {
+  Telemetry telemetry;
+  LibrarySimResult result;
+  StormRun() {
+    auto config = StormConfig(7);
+    config.telemetry = &telemetry;
+    result = SimulateLibrary(config, StormTrace(config));
+  }
+};
+const StormRun& Storm() {
+  static const StormRun run;
+  return run;
+}
+
+struct RoundTripCase {
+  std::string type;
+  std::function<std::pair<Bytes, Bytes>()> run;
+};
+
+std::vector<RoundTripCase> RoundTripCases() {
+  // Platters repeat in this trace, so scheduler groups hold several requests.
+  const ReadTrace trace = UniformTrace(120, 5.0, 37, 4 * kMiB);
+  return {
+      {"Rng",
+       [] {
+         Rng live = Rng(7).Fork(0xA9E5);
+         live.Normal();  // leaves a cached Box-Muller variate
+         Rng fresh(0);
+         return SaveLoadSave(live, fresh);
+       }},
+      {"StreamingStats",
+       [] {
+         StreamingStats live;
+         for (double q = 0.0; q <= 1.0; q += 0.01) {
+           live.Add(Storm().result.completion_times.Percentile(q));
+         }
+         StreamingStats fresh;
+         return SaveLoadSave(live, fresh);
+       }},
+      {"PercentileTracker",
+       [] {
+         PercentileTracker fresh;
+         return SaveLoadSave(Storm().result.completion_times, fresh);
+       }},
+      {"Histogram",
+       [] {
+         Histogram fresh;
+         return SaveLoadSave(*Storm().telemetry.metrics.FindHistogram(
+                                 "library_completion_seconds"),
+                             fresh);
+       }},
+      {"MetricsRegistry",
+       [] {
+         MetricsRegistry fresh;
+         return SaveLoadSave(Storm().telemetry.metrics, fresh);
+       }},
+      {"LibrarySimResult",
+       [] {
+         LibrarySimResult fresh;
+         return SaveLoadSave(Storm().result, fresh);
+       }},
+      {"ReadRequest",
+       [trace] {
+         ReadRequest live = trace[17];
+         live.parent = 5;
+         ReadRequest fresh;
+         return SaveLoadSave(live, fresh);
+       }},
+      {"FaultInjector",
+       [] {
+         Simulator sim;
+         NullHost host;
+         FaultInjector live(sim, host, MixedFaults(), Rng(7), 4, 3, 2);
+         live.Start();
+         sim.Run(1500.0);
+         Simulator fresh_sim;
+         FaultInjector fresh(fresh_sim, host, MixedFaults(), Rng(8), 4, 3, 2);
+         return SaveLoadSave(live, fresh);
+       }},
+      {"RailTraffic",
+       [] {
+         RailTraffic live(10, 8);
+         Rng rng(7);
+         for (int i = 0; i < 200; ++i) {
+           live.Traverse(static_cast<int>(rng.UniformInt(0, 9)),
+                         static_cast<int>(rng.UniformInt(0, 7)),
+                         static_cast<int>(rng.UniformInt(0, 7)), 0.5 * i, 2.0);
+         }
+         RailTraffic fresh(10, 8);
+         return SaveLoadSave(live, fresh);
+       }},
+      {"Partitioner",
+       [] {
+         const Panel panel(StormConfig(7).library);
+         Partitioner live(panel, 8);
+         for (int p = 0; p < live.size(); ++p) {
+           const int right = live.RightNeighborOf(p);
+           if (right >= 0) {
+             live.ShiftBoundary(p, right);
+           }
+         }
+         Partitioner fresh(panel, 8);
+         return SaveLoadSave(live, fresh);
+       }},
+      {"RequestScheduler",
+       [trace] {
+         RequestScheduler live;
+         live.ReservePlatters(400);
+         for (const ReadRequest& request : trace) {
+           live.Submit(request);
+         }
+         for (uint64_t platter = 0; platter < 37; platter += 3) {
+           live.TakeRequests(platter, platter % 2 == 0);
+         }
+         RequestScheduler fresh;
+         fresh.ReservePlatters(400);
+         return SaveLoadSave(live, fresh);
+       }},
+      {"ShardedScheduler",
+       [trace] {
+         ShardedScheduler live;
+         live.Init(4, 400);
+         for (const ReadRequest& request : trace) {
+           live.Submit(static_cast<int>(request.platter % 4), request);
+         }
+         live.TakeRequests(1, 5);
+         live.MigrateQueue(6, 2, 3);
+         live.ForEachDonor(0, 0, true, [](uint64_t, int) { return true; });
+         ShardedScheduler fresh;
+         fresh.Init(4, 400);
+         return SaveLoadSave(live, fresh);
+       }},
+      {"ScrubScheduler",
+       [] {
+         ScrubConfig config;
+         config.enabled = true;
+         ScrubScheduler live;
+         live.Init(config, 400);
+         for (uint64_t p = 0; p < 400; p += 7) {
+           live.RecordDamage(p, static_cast<RepairTier>(p % 4), p + 1);
+         }
+         live.MarkSuspect(42);
+         live.MarkSuspect(9);
+         live.health(410).last_scrub = 3.0;  // grown by the write pipeline
+         live.SelectPlatter(100.0, [](uint64_t) { return true; });
+         ScrubScheduler fresh;
+         fresh.Init(config, 400);
+         return SaveLoadSave(live, fresh);
+       }},
+      {"LazyRepairQueue",
+       [] {
+         LazyRepairConfig config;
+         config.enabled = true;
+         config.bandwidth_bytes_per_s = 200.0;
+         LazyRepairQueue live;
+         live.Configure(config, 0.0);
+         for (int i = 0; i < 6; ++i) {
+           LazyRepairEntry entry;
+           entry.platter = static_cast<uint64_t>(i);
+           entry.remaining_redundancy = i % 3;
+           entry.tier = static_cast<RepairTier>(i % 4);
+           entry.bytes = 300 + 10u * static_cast<uint64_t>(i);
+           entry.admitted_at = 0.5 * i;
+           live.Admit(entry);
+         }
+         live.Drain(2.0, [](const LazyRepairEntry&) {});
+         LazyRepairQueue fresh;
+         fresh.Configure(config, 0.0);
+         return SaveLoadSave(live, fresh);
+       }},
+      {"DurabilityState",
+       [] {
+         DurabilityConfig config;
+         config.num_sets = 8;
+         config.n = 5;
+         config.k = 4;
+         config.fail_rate_per_platter_year = 0.3;
+         config.lazy = true;
+         const DurabilityModel model(config);
+         DurabilityState live = model.MakeInitialState(3);
+         for (int i = 0; i < 40; ++i) {
+           const auto outcome = model.Step(live);
+           if (outcome == DurabilityModel::StepOutcome::kLoss ||
+               outcome == DurabilityModel::StepOutcome::kHorizon) {
+             break;
+           }
+         }
+         DurabilityState fresh = model.MakeInitialState(0);
+         return SaveLoadSave(live, fresh);
+       }},
+      {"FederationResult",
+       [] {
+         FederationConfig config;
+         config.library.library.num_shuttles = 4;
+         config.library.num_info_platters = 200;
+         config.num_libraries = 2;
+         config.replication = 2;
+         config.tenants = 16;
+         config.profile = TraceProfile::SteadyPoisson(0.1, 64.0 * kMiB, 1);
+         config.profile.window_s = 1800.0;
+         config.profile.warmup_s = 300.0;
+         config.profile.cooldown_s = 300.0;
+         config.library.measure_start = config.profile.warmup_s;
+         config.library.measure_end =
+             config.profile.warmup_s + config.profile.window_s;
+         config.geo_read_fraction = 0.3;
+         config.threads = 1;
+         config.seed = 3;
+         FederationResult fresh;
+         return SaveLoadSave(SimulateFederation(config), fresh);
+       }},
+  };
+}
+
+class CheckpointRoundTrip : public testing::TestWithParam<RoundTripCase> {};
+
+TEST_P(CheckpointRoundTrip, SaveLoadSaveIsByteIdentical) {
+  const auto [first, second] = GetParam().run();
+  ASSERT_GT(first.size(), 32u) << "instance too trivial to exercise Visit";
+  EXPECT_EQ(first, second);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    ConvertedTypes, CheckpointRoundTrip, testing::ValuesIn(RoundTripCases()),
+    [](const testing::TestParamInfo<RoundTripCase>& param) {
+      return param.param.type;
+    });
+
+// ---------------------------------------------------------------------------
+// A corrupt snapshot is rejected at load with a runtime_error, before any of
+// it runs. Offsets follow the wire order of the twin's Visit (library_sim.cc):
+// a 60-byte config fingerprint, the 32-byte engine clock, the pending-event
+// count, then 33-byte library descriptors (at, source, kind, a, b, c) or
+// 14-byte fault events (at, source, component, is_repair).
+// ---------------------------------------------------------------------------
+
+// Event kinds by position in library_sim.cc's EventKind.
+bool ShuttleKind(uint32_t kind) {
+  return kind <= 4 || (kind >= 11 && kind <= 14);
+}
+bool DriveKind(uint32_t kind) { return kind >= 5 && kind <= 9; }
+constexpr uint32_t kFederatedArrivalKind = 25;
+constexpr uint32_t kFederatedWriteKind = 26;
+
+struct SavedEventAt {
+  size_t offset = 0;
+  uint8_t source = 0;
+  uint32_t kind = 0;
+};
+
+template <class T>
+T Peek(const Bytes& bytes, size_t offset) {
+  T value;
+  std::memcpy(&value, bytes.data() + offset, sizeof(value));
+  return value;
+}
+
+template <class T>
+Bytes Poke(Bytes bytes, size_t offset, T value) {
+  std::memcpy(bytes.data() + offset, &value, sizeof(value));
+  return bytes;
+}
+
+std::vector<SavedEventAt> PendingEvents(const Bytes& bytes, size_t* end) {
+  size_t pos = 60 + 32;
+  const auto count = Peek<uint64_t>(bytes, pos);
+  pos += 8;
+  std::vector<SavedEventAt> events;
+  for (uint64_t i = 0; i < count; ++i) {
+    SavedEventAt e{pos, bytes[pos + 8], 0};
+    if (e.source == 0) {
+      e.kind = Peek<uint32_t>(bytes, pos + 9);
+      pos += 33;
+    } else {
+      pos += 14;
+    }
+    events.push_back(e);
+  }
+  *end = pos;
+  return events;
+}
+
+// A storm snapshot whose queue holds a shuttle job, a drive event and a
+// fault event, so every payload check has a target.
+struct CorruptibleSnapshot {
+  LibrarySimConfig config;
+  ReadTrace trace;
+  Bytes bytes;
+  std::vector<SavedEventAt> events;
+  size_t events_end = 0;
+  const SavedEventAt* Find(bool (*pred)(const SavedEventAt&)) const {
+    for (const SavedEventAt& e : events) {
+      if (pred(e)) {
+        return &e;
+      }
+    }
+    return nullptr;
+  }
+  bool Rejects(const Bytes& corrupt) const {
+    try {
+      ResumeLibrary(config, trace, LibraryCheckpoint{corrupt});
+    } catch (const std::runtime_error&) {
+      return true;
+    }
+    return false;
+  }
+};
+
+bool IsShuttleEvent(const SavedEventAt& e) {
+  return e.source == 0 && ShuttleKind(e.kind);
+}
+bool IsDriveEvent(const SavedEventAt& e) {
+  return e.source == 0 && DriveKind(e.kind);
+}
+bool IsFaultEvent(const SavedEventAt& e) { return e.source == 1; }
+
+const CorruptibleSnapshot& StormSnapshot() {
+  static const CorruptibleSnapshot snapshot = [] {
+    for (uint64_t seed = 1; seed <= 10; ++seed) {
+      for (double at : {2000.0, 500.0, 6000.0}) {
+        CorruptibleSnapshot s;
+        s.config = StormConfig(seed);
+        s.trace = StormTrace(s.config);
+        LibraryCheckpoint checkpoint;
+        SimulateLibraryWithCheckpoint(s.config, s.trace, at, &checkpoint);
+        s.bytes = checkpoint.bytes;
+        s.events = PendingEvents(s.bytes, &s.events_end);
+        if (s.Find(IsShuttleEvent) && s.Find(IsDriveEvent) &&
+            s.Find(IsFaultEvent)) {
+          return s;
+        }
+      }
+    }
+    return CorruptibleSnapshot{};
+  }();
+  return snapshot;
+}
+
+TEST(Checkpoint, CorruptEventPayloadIsRejected) {
+  const CorruptibleSnapshot& s = StormSnapshot();
+  ASSERT_FALSE(s.bytes.empty()) << "no storm snapshot with every event class";
+  EXPECT_EQ(ResultBytes(ResumeLibrary(s.config, s.trace, {s.bytes})),
+            ResultBytes(SimulateLibrary(s.config, s.trace)));
+
+  const SavedEventAt& shuttle = *s.Find(IsShuttleEvent);
+  const SavedEventAt& drive = *s.Find(IsDriveEvent);
+  for (int32_t bad : {-1, s.config.library.num_shuttles, 1 << 20}) {
+    EXPECT_TRUE(s.Rejects(Poke(s.bytes, shuttle.offset + 13, bad)))
+        << "shuttle " << bad;
+  }
+  for (int32_t bad : {-1, 1 << 20}) {
+    EXPECT_TRUE(s.Rejects(Poke(s.bytes, drive.offset + 13, bad)))
+        << "drive " << bad;
+  }
+  // Drive events other than SwitchBack/VerifyDone carry a platter in b.
+  for (const SavedEventAt& e : s.events) {
+    if (e.source == 0 && (e.kind <= 3 || (e.kind >= 5 && e.kind <= 7))) {
+      EXPECT_TRUE(s.Rejects(Poke(s.bytes, e.offset + 17, uint64_t{1} << 40)))
+          << "platter payload of kind " << e.kind;
+      break;
+    }
+  }
+}
+
+TEST(Checkpoint, CorruptEventKindIsRejected) {
+  const CorruptibleSnapshot& s = StormSnapshot();
+  ASSERT_FALSE(s.bytes.empty()) << "no storm snapshot with every event class";
+  const SavedEventAt& event = *s.Find(IsShuttleEvent);
+  for (uint32_t bad : {kFederatedArrivalKind, kFederatedWriteKind, 27u, 999u}) {
+    EXPECT_TRUE(s.Rejects(Poke(s.bytes, event.offset + 9, bad)))
+        << "kind " << bad;
+  }
+  EXPECT_TRUE(s.Rejects(Poke(s.bytes, event.offset + 8, uint8_t{2})))
+      << "unknown event source";
+}
+
+TEST(Checkpoint, CorruptFaultComponentIsRejected) {
+  const CorruptibleSnapshot& s = StormSnapshot();
+  ASSERT_FALSE(s.bytes.empty()) << "no storm snapshot with every event class";
+  const SavedEventAt& fault = *s.Find(IsFaultEvent);
+  for (int32_t bad : {-1, 1 << 20}) {
+    EXPECT_TRUE(s.Rejects(Poke(s.bytes, fault.offset + 9, bad)))
+        << "component " << bad;
+  }
+  // The injector itself refuses an out-of-range re-arm.
+  Simulator sim;
+  NullHost host;
+  FaultInjector injector(sim, host, MixedFaults(), Rng(1), 4, 3, 2);
+  EXPECT_THROW(injector.RearmFailureAt(injector.num_components(), 10.0),
+               std::runtime_error);
+  EXPECT_THROW(injector.RearmRepairAt(-1, 10.0), std::runtime_error);
+}
+
+// Enum tags past their last value and config-sized containers of the wrong
+// length are rejected by the archive helpers, wherever they sit.
+TEST(Checkpoint, OutOfRangeBytesAreRejected) {
+  // Enum tags inside the twin snapshot: platter 0's state and shuttle 0's job
+  // follow the events, the twin's RNG (41 bytes) and the platter count.
+  const CorruptibleSnapshot& s = StormSnapshot();
+  ASSERT_FALSE(s.bytes.empty()) << "no storm snapshot with every event class";
+  const size_t platters = s.events_end + 41 + 8;
+  const auto num_platters = Peek<uint64_t>(s.bytes, platters - 8);
+  EXPECT_TRUE(s.Rejects(Poke(s.bytes, platters + 49, uint8_t{4})))
+      << "platter state";
+  EXPECT_TRUE(s.Rejects(Poke(s.bytes, platters + 50 * num_platters + 67,
+                             uint8_t{10})))
+      << "shuttle job";
+
+  // Enum tags of components: a lazy-repair tier and a metric kind.
+  LazyRepairQueue lazy;
+  LazyRepairEntry entry;
+  entry.tier = RepairTier::kPlatterSet;
+  lazy.Admit(entry);
+  Bytes bytes = Poke(SaveBytes(lazy), 8 + 8 + 4, uint8_t{4});
+  StateReader lazy_reader(bytes);
+  EXPECT_THROW(lazy_reader(lazy), std::runtime_error);
+
+  MetricsRegistry metrics;
+  metrics.GetCounter("c");
+  bytes = Poke(SaveBytes(metrics), 8 + 8 + 1 + 8, uint8_t{3});
+  StateReader metrics_reader(bytes);
+  EXPECT_THROW(metrics_reader(metrics), std::runtime_error);
+
+  // Containers sized by config: a shorter scheduler slot table, a shrunken
+  // scrub health table, and shard / lane / partition counts that differ.
+  RequestScheduler small_sched;
+  small_sched.ReservePlatters(10);
+  RequestScheduler big_sched;
+  big_sched.ReservePlatters(20);
+  bytes = SaveBytes(small_sched);
+  StateReader sched_reader(bytes);
+  EXPECT_THROW(sched_reader(big_sched), std::runtime_error);
+
+  ScrubScheduler small_scrub;
+  small_scrub.Init(ScrubConfig{}, 10);
+  ScrubScheduler big_scrub;
+  big_scrub.Init(ScrubConfig{}, 20);
+  bytes = SaveBytes(small_scrub);
+  StateReader scrub_reader(bytes);
+  EXPECT_THROW(scrub_reader(big_scrub), std::runtime_error);
+
+  ShardedScheduler three;
+  three.Init(3, 10);
+  ShardedScheduler four;
+  four.Init(4, 10);
+  bytes = SaveBytes(three);
+  StateReader shard_reader(bytes);
+  EXPECT_THROW(shard_reader(four), std::runtime_error);
+
+  RailTraffic narrow(4, 6);
+  RailTraffic wide(4, 7);
+  bytes = SaveBytes(narrow);
+  StateReader rail_reader(bytes);
+  EXPECT_THROW(rail_reader(wide), std::runtime_error);
+
+  const Panel panel(StormConfig(1).library);
+  Partitioner six(panel, 6);
+  Partitioner eight(panel, 8);
+  bytes = SaveBytes(six);
+  StateReader partition_reader(bytes);
+  EXPECT_THROW(partition_reader(eight), std::runtime_error);
 }
 
 }  // namespace

@@ -657,12 +657,12 @@ TEST(LazyRepairQueue, StateRoundTripDrainsIdentically) {
   a.Drain(2.0, [](const LazyRepairEntry&) {});  // leave mid-stream tokens
 
   StateWriter w;
-  a.SaveState(w);
+  w(a);
   const auto bytes = w.Take();
   LazyRepairQueue b;
   b.Configure(config, 0.0);  // config is not serialized; caller re-applies
   StateReader r(bytes);
-  b.LoadState(r);
+  r(b);
   EXPECT_TRUE(r.AtEnd());
   EXPECT_EQ(a.size(), b.size());
   EXPECT_EQ(a.queued_bytes(), b.queued_bytes());
@@ -818,10 +818,10 @@ TEST(DurabilityModel, StateRoundTripContinuesIdentically) {
     }
   }
   StateWriter w;
-  model.SaveState(w, s);
+  w(s);
   const auto bytes = w.Take();
   StateReader r(bytes);
-  auto restored = model.LoadState(r);
+  auto restored = model.Restore(r);
   EXPECT_TRUE(r.AtEnd());
 
   // Both copies must walk the identical trajectory to termination.

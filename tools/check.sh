@@ -40,6 +40,26 @@ echo "== smoke: checkpoint round-trip (twin snapshot/restore byte-identity) =="
     --checkpoint-at=900 --json > /tmp/silica_checkpoint.json
 echo "ok: checkpoint at 900 s restored byte-identically"
 
+echo "== smoke: checkpoint round-trip with every serialized subsystem live =="
+# Same round-trip with faults, media aging, scrub and lazy repair on, so the
+# injector, scrub health, rebuild and lazy-queue state all cross the snapshot.
+./build/tools/silica_sim --profile=iops --platters=300 --seed=7 \
+    --checkpoint-at=900 --fault-shuttle-mtbf=20000 --fault-shuttle-mttr=600 \
+    --fault-drive-mtbf=40000 --fault-drive-mttr=900 --aging-mtbe=7200 \
+    --scrub --scrub-interval=1800 --lazy-repair --json \
+    | python3 -c '
+import json, sys
+report = json.load(sys.stdin)
+faults, lazy = report["faults"], report["lazy"]
+assert faults["shuttle_failures"] > 0 and faults["drive_failures"] > 0, faults
+assert report["aging"]["events"] > 0, report["aging"]
+assert report["scrub"]["passes"] > 0, report["scrub"]
+assert lazy["admitted"] > 0, lazy
+print("ok: storm checkpoint at 900 s restored byte-identically "
+      "(%d shuttle + %d drive failures, %d lazy repairs admitted)" % (
+          faults["shuttle_failures"], faults["drive_failures"], lazy["admitted"]))
+'
+
 echo "== smoke: rare-event MTTDL estimator (splitting vs brute force) =="
 ./build/tools/silica_sim --mttdl=split --sets=16 --set-n=5 --set-k=4 \
     --fail-rate=0.3 --scrub-interval=864000 --horizon-years=1 --roots=100 \
@@ -181,6 +201,6 @@ cmake --preset asan >/dev/null
 cmake --build --preset asan -j "$jobs" --target silica_tests
 ASAN_OPTIONS=detect_leaks=1 UBSAN_OPTIONS=print_stacktrace=1 \
   ./build-asan/tests/silica_tests \
-  --gtest_filter='Simulator.*:SimEquivalence.*:CalendarQueueDirect.*:SchedulerEquivalence.*:SchedulerTelemetry.*:ShardedScheduler.*:Partitioner.*:MetricsRegistry.*:Tracer.*:Telemetry.*:Gf256Kernels.*:FaultInjector.*:FaultInjectorState.*:FaultedLibrary.*:MediaAging.*:PlatterRepair.*:ScrubbedLibrary.*:RngState.*:Checkpoint.*:LazyRepair*:DurabilityModel.*:Federation.*:Placement.*:FrontendProtocolTest.*:FrontendTest.*:RequestStreamTest.*'
+  --gtest_filter='Simulator.*:SimEquivalence.*:CalendarQueueDirect.*:SchedulerEquivalence.*:SchedulerTelemetry.*:ShardedScheduler.*:Partitioner.*:MetricsRegistry.*:Tracer.*:Telemetry.*:Gf256Kernels.*:FaultInjector.*:FaultInjectorState.*:FaultedLibrary.*:MediaAging.*:PlatterRepair.*:ScrubbedLibrary.*:RngState.*:Checkpoint.*:ConvertedTypes/CheckpointRoundTrip.*:LazyRepair*:DurabilityModel.*:Federation.*:Placement.*:FrontendProtocolTest.*:FrontendTest.*:RequestStreamTest.*'
 
 echo "== OK =="
