@@ -5,7 +5,6 @@
 #include <chrono>
 #include <cstring>
 #include <stdexcept>
-#include <unordered_map>
 
 #include "common/thread_pool.h"
 #include "telemetry/telemetry.h"
@@ -226,53 +225,110 @@ WrittenPlatter PlatterWriter::WritePlatter(uint64_t platter_id,
   return out;
 }
 
-std::optional<std::vector<uint8_t>> PlatterReader::DecodeSector(
-    const GlassPlatter& platter, SectorAddress address, Rng& rng) const {
+std::vector<VoxelObservable> PlatterReader::ImageSector(const GlassPlatter& platter,
+                                                       SectorAddress address,
+                                                       Rng& rng) const {
   const MediaGeometry& g = plane_->geometry();
   const auto symbols = platter.SectorSymbols(address);
   const auto analog =
       BuildAnalog(plane_->constellation(), symbols, g.sector_rows, g.sector_cols);
   // Aged glass measures noisier than the decoder's pristine priors assume; the
   // pristine path is untouched (bit-identical) when the platter never aged.
-  const auto measured =
-      platter.age_stress() > 0.0
-          ? ReadChannel(plane_->read_channel().params().Aged(platter.age_stress()))
-                .ReadSector(analog, rng)
-          : plane_->read_channel().ReadSector(analog, rng);
-  const auto posteriors = plane_->soft_decoder().Decode(measured);
+  return platter.age_stress() > 0.0
+             ? ReadChannel(plane_->read_channel().params().Aged(platter.age_stress()))
+                   .ReadSector(analog, rng)
+             : plane_->read_channel().ReadSector(analog, rng);
+}
+
+std::optional<std::vector<uint8_t>> PlatterReader::DecodeImage(
+    std::span<const VoxelObservable> image) const {
+  const auto posteriors = plane_->soft_decoder().Decode(image);
   return plane_->sector_codec().DecodeSector(posteriors, plane_->soft_decoder());
+}
+
+std::optional<std::vector<uint8_t>> PlatterReader::DecodeSector(
+    const GlassPlatter& platter, SectorAddress address, Rng& rng) const {
+  return DecodeImage(ImageSector(platter, address, rng));
 }
 
 std::vector<std::optional<std::vector<uint8_t>>> PlatterReader::ReadTrackPayloads(
     const GlassPlatter& platter, int track, Rng& rng, ReadStats* stats) const {
+  const std::vector<uint8_t> all(
+      static_cast<size_t>(plane_->geometry().sectors_per_track()), 1);
+  return ReadTrack(platter, track, all, rng, stats);
+}
+
+std::vector<std::optional<std::vector<uint8_t>>> PlatterReader::ReadTrack(
+    const GlassPlatter& platter, int track, std::span<const uint8_t> wanted,
+    Rng& rng, ReadStats* stats) const {
   const MediaGeometry& g = plane_->geometry();
   const size_t sectors = static_cast<size_t>(g.sectors_per_track());
   const size_t info_sectors = static_cast<size_t>(g.info_sectors_per_track);
+  assert(wanted.size() == sectors);
 
   std::vector<std::optional<std::vector<uint8_t>>> decoded(sectors);
+  std::vector<uint8_t> attempted(sectors, 0);
   const DataPlane::StageCounters& counters = plane_->stage_counters();
   ThreadPool* pool = plane_->thread_pool();
+  const bool parallel = pool != nullptr && pool->size() > 1;
   const auto decode_start = std::chrono::steady_clock::now();
-  if (pool != nullptr && pool->size() > 1) {
-    // Parallel path: each sector decodes against a forked child stream keyed by
-    // its index (deterministic for any worker count > 1); the parent stream
-    // advances exactly once. Counters are not thread-safe, so the fan-out only
-    // writes decoded[s] and the tallies run serially afterwards.
-    const Rng base = rng;
+
+  // Determinism contract: the noise each sector sees is independent of which
+  // sectors are decoded. Parallel: sector s is imaged from a child stream forked
+  // by its index and the parent advances exactly once, so unwanted sectors are
+  // simply never imaged. Serial: every sector is imaged from the shared stream
+  // in index order (consumption as for a full read) and only the decode is
+  // skipped; unwanted images are kept in case the fallback needs them.
+  const Rng base = rng;
+  std::vector<std::vector<VoxelObservable>> images;
+  if (parallel) {
     rng.NextU64();
-    ParallelFor(pool, sectors, [&](size_t s) {
-      Rng child = base.Fork(s);
-      decoded[s] = DecodeSector(platter, {track, static_cast<int>(s)}, child);
-    });
   } else {
+    images.resize(sectors);
     for (size_t s = 0; s < sectors; ++s) {
-      decoded[s] = DecodeSector(platter, {track, static_cast<int>(s)}, rng);
+      images[s] = ImageSector(platter, {track, static_cast<int>(s)}, rng);
+    }
+  }
+  // Decodes every not-yet-attempted sector `pick` selects. Counters are not
+  // thread-safe, so the fan-out only writes decoded[s]; tallies run after.
+  auto decode_pass = [&](auto pick) {
+    std::vector<size_t> todo;
+    for (size_t s = 0; s < sectors; ++s) {
+      if (!attempted[s] && pick(s)) {
+        attempted[s] = 1;
+        todo.push_back(s);
+      }
+    }
+    if (parallel) {
+      ParallelFor(pool, todo.size(), [&](size_t i) {
+        const size_t s = todo[i];
+        Rng child = base.Fork(s);
+        decoded[s] = DecodeSector(platter, {track, static_cast<int>(s)}, child);
+      });
+    } else {
+      for (size_t s : todo) {
+        decoded[s] = DecodeImage(images[s]);
+      }
+    }
+  };
+  decode_pass([&](size_t s) { return wanted[s] != 0; });
+  // Fallback: a failed wanted information sector needs NC, which needs the rest
+  // of the track, so from here on the read is exactly a full-track read.
+  for (size_t s = 0; s < info_sectors; ++s) {
+    if (wanted[s] && !decoded[s]) {
+      decode_pass([](size_t) { return true; });
+      break;
     }
   }
   const double wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - decode_start)
           .count();
+  uint64_t sectors_decoded = 0;
   for (size_t s = 0; s < sectors; ++s) {
+    if (!attempted[s]) {
+      continue;
+    }
+    ++sectors_decoded;
     if (stats != nullptr) {
       ++stats->sectors_read;
       if (!decoded[s]) {
@@ -290,13 +346,16 @@ std::vector<std::optional<std::vector<uint8_t>>> PlatterReader::ReadTrackPayload
     counters.decode_wall_seconds->Set(wall_seconds);
   }
   if (counters.sectors_per_second != nullptr && wall_seconds > 0.0) {
-    counters.sectors_per_second->Set(static_cast<double>(sectors) / wall_seconds);
+    counters.sectors_per_second->Set(static_cast<double>(sectors_decoded) /
+                                     wall_seconds);
   }
 
-  // Within-track recovery of missing information sectors.
+  // Within-track recovery of missing information sectors. Without the fallback
+  // no attempted information sector failed, so nothing is missing and the
+  // unattempted ones stay nullopt.
   std::vector<size_t> missing;
   for (size_t s = 0; s < info_sectors; ++s) {
-    if (!decoded[s]) {
+    if (attempted[s] && !decoded[s]) {
       missing.push_back(s);
     }
   }
@@ -416,29 +475,44 @@ std::optional<std::vector<uint8_t>> PlatterReader::ReadFile(
     const GlassPlatter& platter, const PlatterFileEntry& entry, Rng& rng,
     ReadStats* stats) const {
   const MediaGeometry& g = plane_->geometry();
-  const size_t payload_bytes = plane_->sector_payload_bytes();
-  const uint64_t need =
-      std::max<uint64_t>(1, (entry.size_bytes + payload_bytes - 1) / payload_bytes);
+  const uint64_t payload_bytes = plane_->sector_payload_bytes();
+  const uint64_t per_track = static_cast<uint64_t>(g.info_sectors_per_track);
+  const uint64_t capacity =
+      static_cast<uint64_t>(g.info_tracks_per_platter) * per_track;
+  const uint64_t need = std::max<uint64_t>(
+      1, entry.size_bytes / payload_bytes + (entry.size_bytes % payload_bytes != 0));
+  const uint64_t first = entry.start_sector_index;
+  if (first > capacity || need > capacity - first) {
+    throw std::out_of_range("PlatterReader: file " + std::to_string(entry.file_id) +
+                            " ('" + entry.name +
+                            "') extends past the platter's information sectors");
+  }
+  const uint64_t end = first + need;
 
-  std::unordered_map<int, std::vector<std::optional<std::vector<uint8_t>>>> tracks;
   std::vector<uint8_t> out;
   out.reserve(entry.size_bytes);
-  for (uint64_t s = 0; s < need; ++s) {
-    const SectorAddress addr =
-        SerpentineSectorAddress(g, entry.start_sector_index + s);
-    auto it = tracks.find(addr.track);
-    if (it == tracks.end()) {
-      it = tracks.emplace(addr.track,
-                          ReadTrackPayloads(platter, addr.track, rng, stats))
-               .first;
+  std::vector<uint8_t> wanted(static_cast<size_t>(g.sectors_per_track()));
+  // The extent touches consecutive tracks; read each once, in order, decoding
+  // only the file's sectors. An unrecoverable sector stops before the next track
+  // is read.
+  for (uint64_t lo = first, hi = 0; lo < end; lo = hi) {
+    hi = std::min(end, (lo / per_track + 1) * per_track);
+    std::fill(wanted.begin(), wanted.end(), 0);
+    for (uint64_t i = lo; i < hi; ++i) {
+      wanted[static_cast<size_t>(SerpentineSectorAddress(g, i).sector)] = 1;
     }
-    const auto& payload = it->second[static_cast<size_t>(addr.sector)];
-    if (!payload) {
-      return std::nullopt;  // unrecoverable on-platter
+    const int track = SerpentineSectorAddress(g, lo).track;
+    const auto payloads = ReadTrack(platter, track, wanted, rng, stats);
+    for (uint64_t i = lo; i < hi; ++i) {
+      const auto& payload =
+          payloads[static_cast<size_t>(SerpentineSectorAddress(g, i).sector)];
+      if (!payload) {
+        return std::nullopt;  // unrecoverable on-platter
+      }
+      const size_t len = static_cast<size_t>(
+          std::min(payload_bytes, entry.size_bytes - (i - first) * payload_bytes));
+      out.insert(out.end(), payload->begin(), payload->begin() + static_cast<long>(len));
     }
-    const size_t want = static_cast<size_t>(
-        std::min<uint64_t>(payload_bytes, entry.size_bytes - s * payload_bytes));
-    out.insert(out.end(), payload->begin(), payload->begin() + static_cast<long>(want));
   }
   return out;
 }

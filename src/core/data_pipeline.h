@@ -18,6 +18,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -72,7 +73,7 @@ class DataPlane {
   // counters are shared by every reader/verifier built on this plane.
   void SetTelemetry(Telemetry* telemetry);
   struct StageCounters {
-    Counter* sectors_read = nullptr;
+    Counter* sectors_read = nullptr;  // sectors decoded, not sectors imaged
     Counter* ldpc_failures = nullptr;
     Counter* track_nc_recoveries = nullptr;
     Counter* large_nc_recoveries = nullptr;
@@ -138,7 +139,7 @@ class PlatterWriter {
 };
 
 struct ReadStats {
-  uint64_t sectors_read = 0;
+  uint64_t sectors_read = 0;           // sectors decoded (LDPC attempted)
   uint64_t ldpc_failures = 0;          // sectors that became erasures
   uint64_t track_nc_recoveries = 0;    // sectors recovered by within-track NC
   uint64_t large_nc_recoveries = 0;    // sectors recovered by the large group
@@ -153,8 +154,13 @@ class PlatterReader {
  public:
   explicit PlatterReader(const DataPlane& plane) : plane_(&plane) {}
 
-  // Reads a file listed in the platter header. Returns nullopt only if the data is
-  // unrecoverable by all on-platter layers.
+  // Reads a file listed in the platter header. Each touched track is imaged, but
+  // only the file's own sectors are decoded unless one of them fails. Returns the
+  // bytes a full ReadTrackPayloads over the same tracks would, consuming `rng`
+  // the same way, except that large-group recovery a full read would run only
+  // for sectors outside the file is skipped. Returns nullopt only if the data is
+  // unrecoverable by all on-platter layers. Throws std::out_of_range if the
+  // entry extends past the platter's information sectors.
   std::optional<std::vector<uint8_t>> ReadFile(const GlassPlatter& platter,
                                                const PlatterFileEntry& entry,
                                                Rng& rng,
@@ -167,7 +173,21 @@ class PlatterReader {
       ReadStats* stats = nullptr) const;
 
  private:
-  // Raw per-sector decode attempt (LDPC + checksum), no NC.
+  // The one track read: images the track and decodes the sectors `wanted` marks
+  // (nonzero). If a wanted information sector fails, the rest of the track is
+  // decoded and the NC recovery hierarchy runs as for a full read; otherwise
+  // unwanted entries stay nullopt.
+  std::vector<std::optional<std::vector<uint8_t>>> ReadTrack(
+      const GlassPlatter& platter, int track, std::span<const uint8_t> wanted,
+      Rng& rng, ReadStats* stats) const;
+
+  // Images one sector through the read channel: the only step that draws noise.
+  std::vector<VoxelObservable> ImageSector(const GlassPlatter& platter,
+                                           SectorAddress address, Rng& rng) const;
+  // Soft demap + LDPC + checksum of an imaged sector.
+  std::optional<std::vector<uint8_t>> DecodeImage(
+      std::span<const VoxelObservable> image) const;
+  // Raw per-sector decode attempt (image, then decode), no NC.
   std::optional<std::vector<uint8_t>> DecodeSector(const GlassPlatter& platter,
                                                    SectorAddress address,
                                                    Rng& rng) const;

@@ -65,6 +65,12 @@ std::optional<PlatterHeader> PlatterHeader::Parse(std::span<const uint8_t> bytes
   if (!ReadU64(body, b, header.platter_id) || !ReadU64(body, b, file_count)) {
     return std::nullopt;
   }
+  // Every entry encodes at least four u64 fields, so a count the remaining body
+  // cannot hold is corrupt; rejecting it also bounds the reserve below.
+  constexpr uint64_t kMinEntryBytes = 32;
+  if (file_count > (body.size() - b) / kMinEntryBytes) {
+    return std::nullopt;
+  }
   header.files.reserve(file_count);
   for (uint64_t i = 0; i < file_count; ++i) {
     PlatterFileEntry entry;

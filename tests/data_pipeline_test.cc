@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <stdexcept>
+
 #include "core/data_pipeline.h"
 #include "ecc/gf65536.h"
 #include "ecc/large_group_codec.h"
@@ -160,6 +163,39 @@ TEST_F(DataPipelineTest, HeaderSurvivesSerialization) {
   ASSERT_TRUE(parsed.has_value());
   EXPECT_EQ(parsed->files.size(), 3u);
   EXPECT_EQ(parsed->files[1].name, "file-1");
+}
+
+TEST_F(DataPipelineTest, ReadFileRejectsEntriesPastInformationArea) {
+  // Serpentine indices past the information tracks address large-group
+  // redundancy; an entry reaching there must throw, not return parity bytes.
+  Rng rng(15);
+  const auto written = PlatterWriter(Plane()).WritePlatter(3, SomeFiles(rng, 1, 100), rng);
+  const MediaGeometry& g = Plane().geometry();
+  const uint64_t capacity = static_cast<uint64_t>(g.info_tracks_per_platter) *
+                            static_cast<uint64_t>(g.info_sectors_per_track);
+  const uint64_t payload = Plane().sector_payload_bytes();
+  PlatterReader reader(Plane());
+
+  // The last information sector is still file data (unused, so zeros).
+  const PlatterFileEntry last{.file_id = 8, .name = "last",
+                              .start_sector_index = capacity - 1, .size_bytes = 100};
+  const auto data = reader.ReadFile(written.platter, last, rng);
+  ASSERT_TRUE(data.has_value());
+  EXPECT_EQ(*data, std::vector<uint8_t>(100, 0));
+
+  const PlatterFileEntry past[] = {
+      {.file_id = 9, .name = "past", .start_sector_index = capacity, .size_bytes = 1000},
+      {.file_id = 10, .name = "spill", .start_sector_index = capacity - 1,
+       .size_bytes = payload + 1},
+      {.file_id = 11, .name = "huge", .start_sector_index = 0,
+       .size_bytes = std::numeric_limits<uint64_t>::max()},
+      {.file_id = 12, .name = "far", .start_sector_index =
+           std::numeric_limits<uint64_t>::max(), .size_bytes = 1},
+  };
+  for (const auto& entry : past) {
+    EXPECT_THROW(reader.ReadFile(written.platter, entry, rng), std::out_of_range)
+        << entry.name;
+  }
 }
 
 TEST_F(DataPipelineTest, WithinTrackNcRecoversInjectedSectorLoss) {

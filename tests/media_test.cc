@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "common/crc.h"
 #include "media/geometry.h"
 #include "media/platter.h"
 
@@ -76,6 +77,24 @@ TEST(PlatterHeader, TruncationDetected) {
   header.platter_id = 5;
   auto bytes = header.Serialize();
   bytes.resize(bytes.size() - 3);
+  EXPECT_FALSE(PlatterHeader::Parse(bytes).has_value());
+}
+
+TEST(PlatterHeader, ImplausibleFileCountRejected) {
+  // A well-formed, CRC-valid 16-byte body claiming 2^40 entries: no entry fits,
+  // so Parse must reject it rather than try to reserve the count.
+  auto append_u64 = [](std::vector<uint8_t>& out, uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      out.push_back(static_cast<uint8_t>(v >> (8 * i)));
+    }
+  };
+  std::vector<uint8_t> body;
+  append_u64(body, 5);                  // platter_id
+  append_u64(body, uint64_t{1} << 40);  // file_count
+  std::vector<uint8_t> bytes;
+  append_u64(bytes, body.size());
+  bytes.insert(bytes.end(), body.begin(), body.end());
+  append_u64(bytes, Crc64(body));
   EXPECT_FALSE(PlatterHeader::Parse(bytes).has_value());
 }
 

@@ -8,6 +8,8 @@
 #include <cmath>
 #include <limits>
 #include <numeric>
+#include <optional>
+#include <string>
 #include <stdexcept>
 #include <vector>
 
@@ -466,6 +468,155 @@ TEST(DataPlaneParallel, SerialPathMatchesDetachedPool) {
       const auto b = singleton.platter.SectorSymbols({t, s});
       ASSERT_TRUE(std::equal(a.begin(), a.end(), b.begin(), b.end()))
           << "track " << t << " sector " << s;
+    }
+  }
+}
+
+// ---------- DataPlane: lazy ReadFile against full-track reads ----------
+
+// ReadFile decodes only a file's own sectors; ReadTrackPayloads decodes whole
+// tracks. For each file, every touched track is read both ways from the same Rng
+// state: the bytes must match, and so must the stream, except when the full read
+// ran large-group recovery for sectors outside the file on a track where the
+// file's sectors all decoded (the lazy read has nothing to recover there). The
+// whole-file read must then equal the chain of its per-track reads exactly.
+struct LazyReadTally {
+  int fallbacks = 0;         // track reads where a wanted sector failed LDPC
+  int skipped_recovery = 0;  // track reads where only the full read ran the large group
+  int unrecoverable = 0;     // files ReadFile reports lost
+};
+
+void ExpectLazyReadsMatchFullTrackReads(const DataPlane& plane,
+                                        const GlassPlatter& platter, Rng& rng,
+                                        LazyReadTally& tally) {
+  const MediaGeometry& g = plane.geometry();
+  const uint64_t payload_bytes = plane.sector_payload_bytes();
+  const uint64_t per_track = static_cast<uint64_t>(g.info_sectors_per_track);
+  PlatterReader reader(plane);
+  for (const PlatterFileEntry& entry : platter.header().files) {
+    const uint64_t need =
+        std::max<uint64_t>(1, (entry.size_bytes + payload_bytes - 1) / payload_bytes);
+    const uint64_t first = entry.start_sector_index;
+    const Rng start = rng;
+    std::optional<std::vector<uint8_t>> chained = std::vector<uint8_t>();
+    for (uint64_t lo = first, hi = 0; lo < first + need && chained; lo = hi) {
+      hi = std::min(first + need, (lo / per_track + 1) * per_track);
+      const uint64_t byte_lo = (lo - first) * payload_bytes;
+      const uint64_t byte_hi = std::min((hi - first) * payload_bytes, entry.size_bytes);
+      const PlatterFileEntry piece{.file_id = entry.file_id,
+                                   .name = entry.name,
+                                   .start_sector_index = lo,
+                                   .size_bytes = byte_hi - byte_lo};
+
+      Rng full_rng = rng;
+      ReadStats full_stats;
+      const int track = SerpentineSectorAddress(g, lo).track;
+      const auto payloads = reader.ReadTrackPayloads(platter, track, full_rng, &full_stats);
+      std::optional<std::vector<uint8_t>> expected = std::vector<uint8_t>();
+      for (uint64_t i = lo; i < hi; ++i) {
+        const auto& payload =
+            payloads[static_cast<size_t>(SerpentineSectorAddress(g, i).sector)];
+        if (!payload) {
+          expected.reset();
+          break;
+        }
+        const uint64_t len =
+            std::min(payload_bytes, entry.size_bytes - (i - first) * payload_bytes);
+        expected->insert(expected->end(), payload->begin(),
+                         payload->begin() + static_cast<long>(len));
+      }
+
+      ReadStats lazy_stats;
+      const auto got = reader.ReadFile(platter, piece, rng, &lazy_stats);
+      ASSERT_EQ(got, expected) << "file " << entry.file_id << " track " << track;
+      const bool fallback = lazy_stats.sectors_read > hi - lo;
+      const bool skipped = full_stats.used_large_group && !fallback;
+      tally.fallbacks += fallback ? 1 : 0;
+      tally.skipped_recovery += skipped ? 1 : 0;
+      Rng lazy_next = rng;
+      EXPECT_EQ(lazy_next.NextU64() == full_rng.NextU64(), !skipped)
+          << "file " << entry.file_id << " track " << track;
+
+      if (!got) {
+        chained.reset();
+      } else {
+        chained->insert(chained->end(), got->begin(), got->end());
+      }
+    }
+    tally.unrecoverable += chained ? 0 : 1;
+
+    Rng whole_rng = start;
+    ASSERT_EQ(reader.ReadFile(platter, entry, whole_rng), chained)
+        << "file " << entry.file_id;
+    EXPECT_EQ(whole_rng.NextU64(), Rng(rng).NextU64()) << "file " << entry.file_id;
+  }
+}
+
+TEST(DataPlaneParallel, LazyReadFileMatchesFullTrackReads) {
+  enum class Damage { kPristine, kAged, kBurst };
+  for (const Damage damage : {Damage::kPristine, Damage::kAged, Damage::kBurst}) {
+    const char* damage_name = damage == Damage::kPristine ? "pristine"
+                              : damage == Damage::kAged   ? "aged"
+                                                          : "burst";
+    DataPlaneConfig config;
+    if (damage == Damage::kBurst) {
+      config.write_channel.burst_miss_prob = 1e-5;  // ~2% of sectors lose a burst
+      config.write_channel.burst_length = 800;
+    }
+    DataPlane plane(config);
+    Rng file_rng(3);
+    std::vector<FileData> files;
+    // 1 sector, sub-track objects, and files spilling across track boundaries.
+    for (const size_t size : {100u, 1200u, 8000u, 20000u, 700u, 30000u, 4000u}) {
+      FileData f;
+      f.file_id = files.size() + 1;
+      f.name = "lazy-" + std::to_string(f.file_id);
+      f.bytes.resize(size);
+      for (auto& b : f.bytes) {
+        b = static_cast<uint8_t>(file_rng.UniformInt(0, 255));
+      }
+      files.push_back(std::move(f));
+    }
+    Rng write_rng(5);
+    auto written = PlatterWriter(plane).WritePlatter(1, files, write_rng);
+    if (damage == Damage::kAged) {
+      // Near the decoder's cliff: ~10% of sectors fail LDPC, some tracks
+      // need the large group and some data is lost.
+      written.platter.AddAgeStress(1.88);
+    }
+
+    for (const size_t workers : {0u, 1u, 4u}) {
+      ThreadPool pool(std::max<size_t>(workers, 1));
+      plane.SetThreadPool(workers > 0 ? &pool : nullptr);
+      SCOPED_TRACE(std::string(damage_name) + " platter, " + std::to_string(workers) +
+                   " workers");
+      LazyReadTally tally;
+      Rng rng(99);
+      ExpectLazyReadsMatchFullTrackReads(plane, written.platter, rng, tally);
+      if (damage == Damage::kPristine) {
+        EXPECT_EQ(tally.fallbacks, 0);
+        // A 1-sector file decodes exactly one sector, not the whole track.
+        Telemetry telemetry;
+        plane.SetTelemetry(&telemetry);
+        ReadStats stats;
+        ASSERT_TRUE(PlatterReader(plane).ReadFile(
+            written.platter, written.platter.header().files[0], rng, &stats));
+        EXPECT_EQ(stats.sectors_read, 1u);
+        EXPECT_EQ(telemetry.metrics.GetCounter("decode_sectors_read_total").value(),
+                  1.0);
+        plane.SetTelemetry(nullptr);
+      } else {
+        EXPECT_GT(tally.fallbacks, 0);
+      }
+      if (damage == Damage::kAged) {
+        // The one case where the streams part is exercised, and data is lost.
+        EXPECT_GT(tally.skipped_recovery, 0);
+        EXPECT_GT(tally.unrecoverable, 0);
+      } else {
+        EXPECT_EQ(tally.skipped_recovery, 0);
+        EXPECT_EQ(tally.unrecoverable, 0);
+      }
+      plane.SetThreadPool(nullptr);
     }
   }
 }
