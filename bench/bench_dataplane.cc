@@ -82,9 +82,8 @@ void BM_SectorDecodeEndToEnd(benchmark::State& state) {
   uint64_t total = 0;
   for (auto _ : state) {
     const auto measured = plane.read_channel().ReadSector(analog, rng);
-    const auto posteriors = plane.soft_decoder().Decode(measured);
-    const auto decoded =
-        plane.sector_codec().DecodeSector(posteriors, plane.soft_decoder());
+    const auto decoded = plane.sector_codec().DecodeFromLlrs(
+        plane.soft_decoder().DemapToLlrs(measured));
     if (!decoded) {
       ++failures;
     }

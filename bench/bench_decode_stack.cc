@@ -9,9 +9,9 @@
 // concurrency); a 1-thread baseline always runs first so the speedup is reported.
 // --simd=auto|scalar|avx2|neon forces the kernel tier for the full-stack run.
 // --json emits one machine-readable object on stdout (sectors/s per worker count,
-// speedup vs 1 thread, and a per-SIMD-tier kernel-stage section with a
-// bit-identity checksum) for BENCH_decode.json trajectories; see
-// tools/compare_runs.py for the diff rules.
+// speedup vs 1 thread, and a per-SIMD-tier kernel-stage section — GF(256),
+// recovery, LDPC and the fused soft demap — with a bit-identity checksum) for
+// BENCH_decode.json trajectories; see tools/compare_runs.py for the diff rules.
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -22,6 +22,9 @@
 #include <vector>
 
 #include "bench_util.h"
+#include "channel/channel_model.h"
+#include "channel/constellation.h"
+#include "channel/soft_decoder.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
 #include "core/data_pipeline.h"
@@ -80,6 +83,7 @@ struct TierRun {
   double gf256_gbps = 0.0;                   // GF(256) MulAccumulate bandwidth
   double recovery_sectors_per_second = 0.0;  // Cauchy/NC shard recovery rate
   double ldpc_decodes_per_second = 0.0;      // min-sum decodes of the 50-draw corpus
+  double demap_sectors_per_second = 0.0;     // fused soft demap, image -> LLRs
   uint64_t checksum = 0;                     // FNV-1a over all stage outputs
 };
 
@@ -231,6 +235,43 @@ TierRun MeasureKernelStage(SimdMode mode) {
     }
   }
 
+  // Stage 4: fused soft demap (SoftDecoder::DemapToLlrs) of data-plane-sized
+  // sector images read through the default channel, half of them on aged
+  // glass. Every LLR byte folds into the checksum, pinning the demap slot.
+  {
+    constexpr int kSectors = 16;
+    constexpr int kPasses = 8;
+    const MediaGeometry g = MediaGeometry::DataPlaneScale();
+    const Constellation constellation(g.bits_per_voxel);
+    const WriteChannel writer(constellation, {});
+    const SoftDecoder decoder(constellation, ReadChannelParams{});
+    Rng rng(13);
+    std::vector<std::vector<VoxelObservable>> images;
+    for (int i = 0; i < kSectors; ++i) {
+      std::vector<uint16_t> symbols(static_cast<size_t>(g.voxels_per_sector()));
+      for (auto& sym : symbols) {
+        sym = static_cast<uint16_t>(rng.UniformInt(0, constellation.num_symbols() - 1));
+      }
+      const auto analog = writer.WriteSector(symbols, g.sector_rows, g.sector_cols, rng);
+      const ReadChannel reader(ReadChannelParams{}.Aged(i % 2 == 0 ? 0.0 : 1.88));
+      images.push_back(reader.ReadSector(analog, rng));
+    }
+    const auto start = std::chrono::steady_clock::now();
+    for (int pass = 0; pass < kPasses; ++pass) {
+      for (const auto& image : images) {
+        const auto llrs = decoder.DemapToLlrs(image);
+        if (pass == 0) {
+          checksum = Fnv1a(reinterpret_cast<const uint8_t*>(llrs.data()),
+                           llrs.size() * sizeof(float), checksum);
+        }
+      }
+    }
+    const double secs = Seconds(start);
+    if (secs > 0.0) {
+      run.demap_sectors_per_second = static_cast<double>(kSectors) * kPasses / secs;
+    }
+  }
+
   run.checksum = checksum;
   return run;
 }
@@ -356,6 +397,7 @@ int Run(int threads, bool json, SimdMode simd) {
           .Field("gf256_gbps", t.gf256_gbps)
           .Field("recovery_sectors_per_second", t.recovery_sectors_per_second)
           .Field("ldpc_decodes_per_second", t.ldpc_decodes_per_second)
+          .Field("demap_sectors_per_second", t.demap_sectors_per_second)
           .Field("checksum", std::string(checksum_hex))
           .Str();
     };
@@ -380,12 +422,13 @@ int Run(int threads, bool json, SimdMode simd) {
   }
 
   Header("Decode stack: SIMD kernel tiers (single thread)");
-  std::printf("%-10s %14s %22s %18s %18s\n", "tier", "gf256 GB/s",
-              "recovery sectors/s", "ldpc decodes/s", "checksum");
+  std::printf("%-10s %14s %22s %18s %18s %18s\n", "tier", "gf256 GB/s",
+              "recovery sectors/s", "ldpc decodes/s", "demap sectors/s",
+              "checksum");
   for (const TierRun& t : tier_runs) {
-    std::printf("%-10s %14.2f %22.1f %18.1f   %016llx\n", t.tier.c_str(),
+    std::printf("%-10s %14.2f %22.1f %18.1f %18.1f   %016llx\n", t.tier.c_str(),
                 t.gf256_gbps, t.recovery_sectors_per_second,
-                t.ldpc_decodes_per_second,
+                t.ldpc_decodes_per_second, t.demap_sectors_per_second,
                 static_cast<unsigned long long>(t.checksum));
   }
   std::printf("best tier %s: %.2fx recovery speedup vs scalar; tiers %s\n",

@@ -32,14 +32,14 @@ void LdpcLevel() {
   const int trials = 50;
   for (int i = 0; i < trials; ++i) {
     const auto measured = plane.read_channel().ReadSector(analog, rng);
-    const auto decoded = plane.sector_codec().DecodeSector(
-        plane.soft_decoder().Decode(measured), plane.soft_decoder());
+    const auto decoded = plane.sector_codec().DecodeFromLlrs(
+        plane.soft_decoder().DemapToLlrs(measured));
     if (decoded && *decoded == payload) {
       ++ok;
     }
   }
   std::printf("%d/%d noisy reads decoded exactly (stochastic sensor noise + ISI\n"
-              "absorbed by belief propagation over the U-Net-style posteriors)\n",
+              "absorbed by belief propagation over the U-Net-style soft LLRs)\n",
               ok, trials);
 }
 

@@ -80,6 +80,15 @@ class ReadChannel {
   // Produces one measurement per voxel.
   std::vector<VoxelObservable> ReadSector(const AnalogSector& sector, Rng& rng) const;
 
+  // The same measurement of stored symbols, written as `constellation` maps
+  // them; a symbol outside the constellation (the kMissingVoxel sentinel of
+  // media/platter.h) reads as blank glass, like an AnalogSector's missing
+  // voxel. Measurements and Rng consumption equal ReadSector over the
+  // equivalent AnalogSector.
+  std::vector<VoxelObservable> ReadSymbols(const Constellation& constellation,
+                                           std::span<const uint16_t> symbols,
+                                           int rows, int cols, Rng& rng) const;
+
   const ReadChannelParams& params() const { return params_; }
 
  private:

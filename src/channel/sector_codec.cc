@@ -65,10 +65,4 @@ std::optional<std::vector<uint8_t>> SectorCodec::DecodeFromLlrs(
   return payload;
 }
 
-std::optional<std::vector<uint8_t>> SectorCodec::DecodeSector(
-    const SectorPosteriors& posteriors, const SoftDecoder& decoder) const {
-  const auto llrs = decoder.PosteriorsToLlrs(posteriors);
-  return DecodeFromLlrs(llrs);
-}
-
 }  // namespace silica

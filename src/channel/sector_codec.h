@@ -10,7 +10,6 @@
 #include <span>
 #include <vector>
 
-#include "channel/soft_decoder.h"
 #include "ecc/ldpc.h"
 #include "media/geometry.h"
 
@@ -36,10 +35,6 @@ class SectorCodec {
   // success; nullopt if the LDPC decode fails to converge or the checksum mismatches
   // (the sector then becomes an erasure for the network-coding layers).
   std::optional<std::vector<uint8_t>> DecodeFromLlrs(std::span<const float> llrs) const;
-
-  // Convenience: decode from a soft decoder's symbol posteriors.
-  std::optional<std::vector<uint8_t>> DecodeSector(const SectorPosteriors& posteriors,
-                                                   const SoftDecoder& decoder) const;
 
  private:
   MediaGeometry geometry_;

@@ -16,6 +16,7 @@
 
 #include "channel/channel_model.h"
 #include "channel/constellation.h"
+#include "ecc/simd/gf256_kernels.h"
 
 namespace silica {
 
@@ -40,15 +41,24 @@ struct SoftDecoderParams {
 
 class SoftDecoder {
  public:
+  // Throws std::invalid_argument, naming the field, if either channel sigma or
+  // the temperature is non-finite, <= 0 or too small for float demapping, or
+  // if miss_prior is outside (0, 1): any of those would turn every LLR into
+  // NaN or infinity.
   SoftDecoder(const Constellation& constellation, ReadChannelParams channel,
               SoftDecoderParams params = {});
 
-  // Classifies every voxel of a sector.
+  // Classifies every voxel of a sector (double precision; the modelled U-Net
+  // interface).
   SectorPosteriors Decode(std::span<const VoxelObservable> measurements) const;
 
-  // Converts symbol posteriors into bit LLRs for the LDPC decoder
-  // (positive LLR = "bit is 0"), voxel-major / LSB-first to match ecc/bits.h.
-  std::vector<float> PosteriorsToLlrs(const SectorPosteriors& posteriors) const;
+  // The data path: demaps every voxel straight to bit LLRs for the LDPC
+  // decoder (positive LLR = "bit is 0"), voxel-major / LSB-first to match
+  // ecc/bits.h, clamped to +-30. Same model as Decode() followed by
+  // log(P(bit=0) / P(bit=1)), evaluated in float with a shared polynomial
+  // exp/log (within 1e-4 of the double formula); every SIMD tier returns the
+  // same bits as the scalar loop. Azimuths outside [0, pi) are reduced mod pi.
+  std::vector<float> DemapToLlrs(std::span<const VoxelObservable> measurements) const;
 
   const Constellation& constellation() const { return *constellation_; }
 
@@ -56,6 +66,7 @@ class SoftDecoder {
   const Constellation* constellation_;
   ReadChannelParams channel_;
   SoftDecoderParams params_;
+  SoftDemapTables tables_;
 };
 
 }  // namespace silica

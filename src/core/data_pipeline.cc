@@ -29,24 +29,51 @@ std::vector<uint8_t> WordsToBytes(std::span<const uint16_t> words, size_t byte_l
   return bytes;
 }
 
-// Reconstructs the analog written state from stored symbols (missing voxels carry
-// the kMissingVoxel sentinel).
-AnalogSector BuildAnalog(const Constellation& constellation,
-                         std::span<const uint16_t> symbols, int rows, int cols) {
-  AnalogSector sector;
-  sector.rows = rows;
-  sector.cols = cols;
-  sector.voxels.resize(symbols.size());
-  sector.missing.assign(symbols.size(), 0);
-  for (size_t i = 0; i < symbols.size(); ++i) {
-    if (symbols[i] == kMissingVoxel) {
-      sector.missing[i] = 1;
-      sector.voxels[i] = VoxelObservable{0.0, 0.0};
-    } else {
-      sector.voxels[i] = constellation.Point(symbols[i]);
+// Encodes every sector payload through LDPC and the write channel onto
+// `platter` (failed voxels stored as kMissingVoxel). Determinism contract: with
+// no pool (or one worker) the sectors consume `rng` sequentially in (track,
+// sector) order — byte-identical to the unthreaded build. With more workers
+// the parent stream is advanced once and each sector draws noise from a forked
+// child keyed by its flat index, so the platter is deterministic and the same
+// for every worker count > 1.
+void WriteSectors(const DataPlane& plane,
+                  const std::vector<std::vector<std::vector<uint8_t>>>& payloads,
+                  GlassPlatter& platter, Rng& rng) {
+  const MediaGeometry& g = plane.geometry();
+  const size_t sectors = static_cast<size_t>(g.sectors_per_track());
+  auto write_one = [&](size_t idx, Rng& noise) {
+    auto symbols = plane.sector_codec().EncodeSector(payloads[idx / sectors][idx % sectors]);
+    const auto analog = plane.write_channel().WriteSector(symbols, g.sector_rows,
+                                                          g.sector_cols, noise);
+    for (size_t v = 0; v < symbols.size(); ++v) {
+      if (analog.missing[v]) {
+        symbols[v] = kMissingVoxel;
+      }
     }
+    return symbols;
+  };
+  auto address = [&](size_t idx) {
+    return SectorAddress{static_cast<int>(idx / sectors),
+                         static_cast<int>(idx % sectors)};
+  };
+  const size_t total = payloads.size() * sectors;
+  ThreadPool* pool = plane.thread_pool();
+  if (pool == nullptr || pool->size() <= 1) {
+    for (size_t idx = 0; idx < total; ++idx) {
+      platter.WriteSector(address(idx), write_one(idx, rng));
+    }
+    return;
   }
-  return sector;
+  const Rng base = rng;
+  rng.NextU64();
+  std::vector<std::vector<uint16_t>> grid(total);
+  ParallelFor(pool, total, [&](size_t idx) {
+    Rng child = base.Fork(idx);
+    grid[idx] = write_one(idx, child);
+  });
+  for (size_t idx = 0; idx < total; ++idx) {
+    platter.WriteSector(address(idx), std::move(grid[idx]));
+  }
 }
 
 }  // namespace
@@ -173,53 +200,7 @@ WrittenPlatter PlatterWriter::WritePlatter(uint64_t platter_id,
   });
 
   // 4. Encode every sector through LDPC and the write channel onto the glass.
-  //
-  // Determinism contract: with no pool (or one worker) the sectors consume `rng`
-  // sequentially — byte-identical to the unthreaded build. With more workers the
-  // parent stream is advanced once and each sector draws noise from a forked
-  // child keyed by its flat index, so the platter is deterministic and the same
-  // for every worker count > 1.
-  if (pool != nullptr && pool->size() > 1) {
-    const Rng base = rng;
-    rng.NextU64();
-    std::vector<std::vector<uint16_t>> grid(all_tracks * sectors);
-    ParallelFor(pool, all_tracks * sectors, [&](size_t idx) {
-      const size_t t = idx / sectors;
-      const size_t s = idx % sectors;
-      Rng child = base.Fork(idx);
-      auto symbols = plane_->sector_codec().EncodeSector(payloads[t][s]);
-      const auto analog = plane_->write_channel().WriteSector(
-          symbols, g.sector_rows, g.sector_cols, child);
-      for (size_t v = 0; v < symbols.size(); ++v) {
-        if (analog.missing[v]) {
-          symbols[v] = kMissingVoxel;
-        }
-      }
-      grid[idx] = std::move(symbols);
-    });
-    for (size_t idx = 0; idx < grid.size(); ++idx) {
-      out.platter.WriteSector(
-          SectorAddress{static_cast<int>(idx / sectors),
-                        static_cast<int>(idx % sectors)},
-          std::move(grid[idx]));
-    }
-  } else {
-    for (size_t t = 0; t < all_tracks; ++t) {
-      for (size_t s = 0; s < sectors; ++s) {
-        auto symbols = plane_->sector_codec().EncodeSector(payloads[t][s]);
-        const auto analog = plane_->write_channel().WriteSector(
-            symbols, g.sector_rows, g.sector_cols, rng);
-        for (size_t v = 0; v < symbols.size(); ++v) {
-          if (analog.missing[v]) {
-            symbols[v] = kMissingVoxel;
-          }
-        }
-        out.platter.WriteSector(
-            SectorAddress{static_cast<int>(t), static_cast<int>(s)},
-            std::move(symbols));
-      }
-    }
-  }
+  WriteSectors(*plane_, payloads, out.platter, rng);
   out.platter.SetHeader(std::move(header));
   out.platter.Seal();
   return out;
@@ -230,20 +211,18 @@ std::vector<VoxelObservable> PlatterReader::ImageSector(const GlassPlatter& plat
                                                        Rng& rng) const {
   const MediaGeometry& g = plane_->geometry();
   const auto symbols = platter.SectorSymbols(address);
-  const auto analog =
-      BuildAnalog(plane_->constellation(), symbols, g.sector_rows, g.sector_cols);
   // Aged glass measures noisier than the decoder's pristine priors assume; the
   // pristine path is untouched (bit-identical) when the platter never aged.
-  return platter.age_stress() > 0.0
-             ? ReadChannel(plane_->read_channel().params().Aged(platter.age_stress()))
-                   .ReadSector(analog, rng)
-             : plane_->read_channel().ReadSector(analog, rng);
+  const ReadChannel aged(plane_->read_channel().params().Aged(platter.age_stress()));
+  const ReadChannel& channel =
+      platter.age_stress() > 0.0 ? aged : plane_->read_channel();
+  return channel.ReadSymbols(plane_->constellation(), symbols, g.sector_rows,
+                             g.sector_cols, rng);
 }
 
 std::optional<std::vector<uint8_t>> PlatterReader::DecodeImage(
     std::span<const VoxelObservable> image) const {
-  const auto posteriors = plane_->soft_decoder().Decode(image);
-  return plane_->sector_codec().DecodeSector(posteriors, plane_->soft_decoder());
+  return plane_->sector_codec().DecodeFromLlrs(plane_->soft_decoder().DemapToLlrs(image));
 }
 
 std::optional<std::vector<uint8_t>> PlatterReader::DecodeSector(
@@ -606,21 +585,7 @@ std::vector<WrittenPlatter> PlatterSetCodec::EncodeRedundancyPlatters(
     PlatterHeader header;
     header.platter_id = first_id + static_cast<uint64_t>(r);
     wp.platter.SetHeader(header);
-    for (size_t t = 0; t < all_tracks; ++t) {
-      for (size_t s = 0; s < sectors; ++s) {
-        auto symbols = plane_->sector_codec().EncodeSector(wp.payloads[t][s]);
-        const auto analog = plane_->write_channel().WriteSector(
-            symbols, g.sector_rows, g.sector_cols, rng);
-        for (size_t v = 0; v < symbols.size(); ++v) {
-          if (analog.missing[v]) {
-            symbols[v] = kMissingVoxel;
-          }
-        }
-        wp.platter.WriteSector(SectorAddress{static_cast<int>(t),
-                                             static_cast<int>(s)},
-                               std::move(symbols));
-      }
-    }
+    WriteSectors(*plane_, wp.payloads, wp.platter, rng);
     wp.platter.Seal();
   }
   return out;

@@ -5,7 +5,7 @@
 // redundancy sectors -> large-group NC redundancy tracks -> per-sector LDPC + CRC ->
 // voxel symbols -> write channel -> glass platter (+ self-descriptive header).
 //
-// Read path:   read drive images the track -> soft decoder posteriors -> LDPC;
+// Read path:   read drive images the track -> soft demap to bit LLRs -> LDPC;
 // sectors that fail LDPC/CRC become erasures recovered by within-track NC, then by
 // the large group across tracks. Platter unavailability is handled by the
 // platter-set codec (any 16 of 19 platters reconstruct a missing platter's track).

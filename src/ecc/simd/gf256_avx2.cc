@@ -1,5 +1,5 @@
-// x86-64 AVX2 tier: shuffled-nibble-lookup GF kernels plus the vectorized LDPC
-// min-sum check-node update.
+// x86-64 AVX2 tier: shuffled-nibble-lookup GF kernels, the vectorized LDPC
+// min-sum check-node update, and the fused soft demapper.
 //
 // The GF(256) trick (classic SSSE3 technique, run at AVX2 width): a product
 // c*x splits over the nibbles of x, c*x = c*(x & 0xF) ^ c*(x >> 4 << 4), so two
@@ -22,7 +22,9 @@
 
 #include <immintrin.h>
 
+#include <algorithm>
 #include <bit>
+#include <iterator>
 #include <cmath>
 #include <limits>
 
@@ -342,6 +344,219 @@ uint64_t Avx2LdpcCheckNode(float* posterior, float* msgs, const uint32_t* vars,
   return bits;
 }
 
+// --- Fused soft demap (SoftDecoder::DemapToLlrs) ----------------------------
+//
+// One voxel per lane, eight voxels per block, any constellation size. Every
+// lane performs exactly the scalar loop's IEEE operations in its order (see
+// ScalarSoftDemap in channel/soft_decoder.cc): double subtractions narrowed by
+// cvtpd_ps, float mul/add/sub/div without FMA, and the scalar ternaries
+// `a < b ? a : b` / `a > b ? a : b` as min/max(a, b), which evaluate the same
+// way on NaN.
+
+__m256 Combine(__m128 lo, __m128 hi) {
+  return _mm256_insertf128_ps(_mm256_castps128_ps256(lo), hi, 1);
+}
+
+// Narrows two 4-lane double vectors (voxels 0-3, 4-7) to one float vector.
+__m256 Narrow(__m256d lo, __m256d hi) {
+  return Combine(_mm256_cvtpd_ps(lo), _mm256_cvtpd_ps(hi));
+}
+
+[[gnu::always_inline]] inline __m256 DemapExp8(__m256 x) {
+  const __m256 magic = _mm256_set1_ps(demap::kRoundMagic);
+  x = _mm256_max_ps(x, _mm256_set1_ps(demap::kExpMinArg));
+  const __m256 t =
+      _mm256_add_ps(_mm256_mul_ps(x, _mm256_set1_ps(demap::kLog2e)), magic);
+  const __m256 n = _mm256_sub_ps(t, magic);
+  __m256 r = _mm256_sub_ps(x, _mm256_mul_ps(n, _mm256_set1_ps(demap::kLn2Hi)));
+  r = _mm256_sub_ps(r, _mm256_mul_ps(n, _mm256_set1_ps(demap::kLn2Lo)));
+  __m256 p = _mm256_set1_ps(demap::kExpP[0]);
+  for (int i = 1; i < 6; ++i) {
+    p = _mm256_add_ps(_mm256_mul_ps(p, r), _mm256_set1_ps(demap::kExpP[i]));
+  }
+  p = _mm256_mul_ps(p, _mm256_mul_ps(r, r));
+  p = _mm256_add_ps(p, r);
+  p = _mm256_add_ps(p, _mm256_set1_ps(1.0f));
+  const __m256i k = _mm256_sub_epi32(_mm256_castps_si256(t),
+                                     _mm256_castps_si256(magic));
+  const __m256i scale =
+      _mm256_slli_epi32(_mm256_add_epi32(k, _mm256_set1_epi32(127)), 23);
+  return _mm256_mul_ps(p, _mm256_castsi256_ps(scale));
+}
+
+[[gnu::always_inline]] inline __m256 DemapLog8(__m256 y) {
+  const __m256i bits = _mm256_castps_si256(y);
+  __m256 e = _mm256_cvtepi32_ps(
+      _mm256_sub_epi32(_mm256_srli_epi32(bits, 23), _mm256_set1_epi32(126)));
+  const __m256 m = _mm256_castsi256_ps(
+      _mm256_or_si256(_mm256_and_si256(bits, _mm256_set1_epi32(0x007FFFFF)),
+                      _mm256_set1_epi32(0x3F000000)));
+  const __m256 one = _mm256_set1_ps(1.0f);
+  const __m256 small = _mm256_cmp_ps(m, _mm256_set1_ps(demap::kSqrtHalf), _CMP_LT_OQ);
+  e = _mm256_blendv_ps(e, _mm256_sub_ps(e, one), small);
+  const __m256 x = _mm256_blendv_ps(_mm256_sub_ps(m, one),
+                                    _mm256_sub_ps(_mm256_add_ps(m, m), one), small);
+  const __m256 z = _mm256_mul_ps(x, x);
+  __m256 q = _mm256_set1_ps(demap::kLogQ[0]);
+  for (int i = 1; i < 9; ++i) {
+    q = _mm256_add_ps(_mm256_mul_ps(q, x), _mm256_set1_ps(demap::kLogQ[i]));
+  }
+  q = _mm256_mul_ps(_mm256_mul_ps(q, x), z);
+  q = _mm256_add_ps(q, _mm256_mul_ps(e, _mm256_set1_ps(demap::kLn2Lo)));
+  q = _mm256_sub_ps(q, _mm256_mul_ps(z, _mm256_set1_ps(0.5f)));
+  return _mm256_add_ps(_mm256_add_ps(x, q),
+                       _mm256_mul_ps(e, _mm256_set1_ps(demap::kLn2Hi)));
+}
+
+// Mod-pi reduction of an out-of-range azimuth, exactly as the scalar loop does
+// it (fmod is exact, so both produce the same double). A local copy: an inline
+// function shared with the baseline-ISA scalar file could be linked there from
+// this -mavx2 object.
+double ReduceAzimuth(double a) {
+  a = std::fmod(a, demap::kPi);
+  if (a < 0.0) {
+    a += demap::kPi;
+  }
+  return a;
+}
+
+// Reduces every lane outside [0, pi) (NaN included) of one 4-lane vector.
+__m256d ReduceOutOfRange(__m256d a) {
+  const __m256d in_range =
+      _mm256_and_pd(_mm256_cmp_pd(a, _mm256_setzero_pd(), _CMP_GE_OQ),
+                    _mm256_cmp_pd(a, _mm256_set1_pd(demap::kPi), _CMP_LT_OQ));
+  if (_mm256_movemask_pd(in_range) == 0xF) {
+    return a;
+  }
+  alignas(32) double lanes[4];
+  _mm256_store_pd(lanes, a);
+  for (double& lane : lanes) {
+    if (!(lane >= 0.0 && lane < demap::kPi)) {
+      lane = ReduceAzimuth(lane);
+    }
+  }
+  return _mm256_load_pd(lanes);
+}
+
+template <int kBits>
+void Avx2SoftDemap(const SoftDemapTables& t, const double* observables,
+                   size_t voxels, float* llrs) {
+  constexpr int kAzimuthBits = demap::AzimuthBits(kBits);
+  constexpr int kRetardanceLevels = 1 << (kBits - kAzimuthBits);
+  constexpr int kAzimuthLevels = 1 << kAzimuthBits;
+  constexpr int kSymbols = 1 << kBits;
+  const __m256d pi = _mm256_set1_pd(demap::kPi);
+  const __m256d sign = _mm256_set1_pd(-0.0);
+  const __m256 inv_r = _mm256_set1_ps(t.inv_two_var_retardance);
+  const __m256 inv_a = _mm256_set1_ps(t.inv_two_var_azimuth);
+  const __m256 inv_temp = _mm256_set1_ps(t.inv_temperature);
+  alignas(32) double tail[16] = {};
+  alignas(32) float out[kBits][8];
+  for (size_t v = 0; v < voxels; v += 8) {
+    const size_t lanes = voxels - v < 8 ? voxels - v : 8;
+    const double* block = observables + 2 * v;
+    if (lanes < 8) {
+      // A short final block runs on a zero-padded copy; lanes are independent,
+      // so the padding never touches the stored results.
+      std::fill(std::begin(tail), std::end(tail), 0.0);
+      std::copy(block, block + 2 * lanes, tail);
+      block = tail;
+    }
+    // Deinterleave (r0 a0 r1 a1 | r2 a2 r3 a3) into r0..r3 and a0..a3.
+    const __m256d b0 = _mm256_loadu_pd(block);
+    const __m256d b1 = _mm256_loadu_pd(block + 4);
+    const __m256d b2 = _mm256_loadu_pd(block + 8);
+    const __m256d b3 = _mm256_loadu_pd(block + 12);
+    const __m256d r_lo = _mm256_permute4x64_pd(_mm256_unpacklo_pd(b0, b1), 0xD8);
+    const __m256d r_hi = _mm256_permute4x64_pd(_mm256_unpacklo_pd(b2, b3), 0xD8);
+    const __m256d a_lo =
+        ReduceOutOfRange(_mm256_permute4x64_pd(_mm256_unpackhi_pd(b0, b1), 0xD8));
+    const __m256d a_hi =
+        ReduceOutOfRange(_mm256_permute4x64_pd(_mm256_unpackhi_pd(b2, b3), 0xD8));
+
+    __m256 qr[kRetardanceLevels];
+    __m256 qa[kAzimuthLevels];
+    for (int e = 0; e < kRetardanceLevels; ++e) {
+      const __m256d c = _mm256_set1_pd(t.retardance_centre[e]);
+      const __m256 dr = Narrow(_mm256_sub_pd(r_lo, c), _mm256_sub_pd(r_hi, c));
+      qr[e] = _mm256_mul_ps(_mm256_mul_ps(dr, dr), inv_r);
+    }
+    for (int a = 0; a < kAzimuthLevels; ++a) {
+      const __m256d c = _mm256_set1_pd(t.azimuth_centre[a]);
+      const __m256d d_lo = _mm256_andnot_pd(sign, _mm256_sub_pd(a_lo, c));
+      const __m256d d_hi = _mm256_andnot_pd(sign, _mm256_sub_pd(a_hi, c));
+      const __m256 da =
+          Narrow(_mm256_min_pd(_mm256_sub_pd(pi, d_lo), d_lo),
+                 _mm256_min_pd(_mm256_sub_pd(pi, d_hi), d_hi));
+      qa[a] = _mm256_mul_ps(_mm256_mul_ps(da, da), inv_a);
+    }
+    const __m256 yf = Narrow(r_lo, r_hi);
+    const __m256 miss_cost =
+        _mm256_sub_ps(_mm256_mul_ps(_mm256_mul_ps(yf, yf), inv_r),
+                      _mm256_set1_ps(t.log_miss_prior));
+    __m256 cost[kSymbols];
+    __m256 best = miss_cost;
+    for (int s = 0; s < kSymbols; ++s) {
+      cost[s] = _mm256_add_ps(qr[s >> kAzimuthBits], qa[s & (kAzimuthLevels - 1)]);
+      best = _mm256_min_ps(cost[s], best);
+    }
+    // The exps are independent; the sums below then add them in the scalar
+    // loop's order (ascending symbol, per accumulator).
+    __m256 w[kSymbols];
+    for (int s = 0; s < kSymbols; ++s) {
+      w[s] = DemapExp8(_mm256_mul_ps(_mm256_sub_ps(best, cost[s]), inv_temp));
+    }
+    const __m256 w_miss =
+        DemapExp8(_mm256_mul_ps(_mm256_sub_ps(best, miss_cost), inv_temp));
+    __m256 total = _mm256_setzero_ps();
+    for (int s = 0; s < kSymbols; ++s) {
+      total = _mm256_add_ps(total, w[s]);
+    }
+    total = _mm256_add_ps(total, w_miss);
+    __m256 p0[kBits];
+    __m256 p1[kBits];
+    for (int b = 0; b < kBits; ++b) {
+      p0[b] = _mm256_setzero_ps();
+      p1[b] = _mm256_setzero_ps();
+      for (int s = 0; s < kSymbols; ++s) {
+        if ((s >> b) & 1) {
+          p1[b] = _mm256_add_ps(p1[b], w[s]);
+        } else {
+          p0[b] = _mm256_add_ps(p0[b], w[s]);
+        }
+      }
+    }
+    const __m256 half_miss = _mm256_mul_ps(w_miss, _mm256_set1_ps(0.5f));
+    const __m256 floor =
+        _mm256_mul_ps(_mm256_set1_ps(demap::kLlrEpsilon), total);
+    for (int b = 0; b < kBits; ++b) {
+      const __m256 num = _mm256_add_ps(_mm256_add_ps(p0[b], half_miss), floor);
+      const __m256 den = _mm256_add_ps(_mm256_add_ps(p1[b], half_miss), floor);
+      __m256 llr = DemapLog8(_mm256_div_ps(num, den));
+      llr = _mm256_max_ps(llr, _mm256_set1_ps(-demap::kLlrClamp));
+      llr = _mm256_min_ps(llr, _mm256_set1_ps(demap::kLlrClamp));
+      _mm256_store_ps(out[b], llr);
+    }
+    for (size_t l = 0; l < lanes; ++l) {
+      for (int b = 0; b < kBits; ++b) {
+        llrs[(v + l) * kBits + static_cast<size_t>(b)] = out[b][l];
+      }
+    }
+  }
+}
+
+void Avx2SoftDemap(const SoftDemapTables& t, const double* observables,
+                   size_t voxels, float* llrs) {
+  switch (t.bits_per_voxel) {
+    case 1: return Avx2SoftDemap<1>(t, observables, voxels, llrs);
+    case 2: return Avx2SoftDemap<2>(t, observables, voxels, llrs);
+    case 3: return Avx2SoftDemap<3>(t, observables, voxels, llrs);
+    case 4: return Avx2SoftDemap<4>(t, observables, voxels, llrs);
+    case 5: return Avx2SoftDemap<5>(t, observables, voxels, llrs);
+    case 6: return Avx2SoftDemap<6>(t, observables, voxels, llrs);
+  }
+}
+
 }  // namespace
 
 const Gf256Kernels* Avx2Kernels() {
@@ -356,6 +571,7 @@ const Gf256Kernels* Avx2Kernels() {
       .mul_accumulate16 = &Avx2MulAccumulate16,
       .xor_and_fold = &Avx2XorAndFold,
       .ldpc_check_node = &Avx2LdpcCheckNode,
+      .soft_demap = &Avx2SoftDemap,
   };
   return &k;
 }

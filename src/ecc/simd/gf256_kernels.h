@@ -3,9 +3,10 @@
 // Every encode and recovery in the Silica data plane bottoms out in a handful of
 // tight loops: GF(256) multiply-accumulate over sector-sized shards (network
 // coding, Cauchy matrix elimination), GF(2^16) multiply-accumulate (large-group
-// codec), the packed-64-bit parity fold of the systematic LDPC encoder, and the
-// per-check min-sum update of the LDPC decoder. This header defines a vtable of
-// those loops (`Gf256Kernels`) with one implementation per dispatch tier:
+// codec), the packed-64-bit parity fold of the systematic LDPC encoder, the
+// per-check min-sum update of the LDPC decoder, and the soft demap of a sector
+// image to bit LLRs. This header defines a vtable of those loops
+// (`Gf256Kernels`) with one implementation per dispatch tier:
 //
 //   * scalar — the portable reference, byte-for-byte the pre-SIMD code paths;
 //   * avx2   — x86-64 shuffled-nibble-lookup kernels (PSHUFB over per-coefficient
@@ -16,12 +17,13 @@
 // `--simd={auto,scalar,avx2,neon}` (threaded through ServiceConfig, silica_sim,
 // and the benches). The contract, enforced by tests/gf256_kernels_test.cc, is
 // that every tier is bit-identical to the scalar reference: GF arithmetic is
-// exact, and the float min-sum kernel performs the same IEEE operations in the
-// same per-edge order, so vectorization never changes a single output byte.
+// exact, and the float min-sum and demap kernels perform the same IEEE
+// operations in the same order, so vectorization never changes a single output
+// byte.
 //
-// Optional entries (`mul_accumulate16`, `xor_and_fold`, `ldpc_check_node`) may
-// be null; callers fall back to their inline scalar loop, which is the same code
-// every tier falls back to, preserving cross-tier identity.
+// Optional entries (`mul_accumulate16`, `xor_and_fold`, `ldpc_check_node`,
+// `soft_demap`) may be null; callers fall back to their inline scalar loop, which
+// is the same code every tier falls back to, preserving cross-tier identity.
 #ifndef SILICA_ECC_SIMD_GF256_KERNELS_H_
 #define SILICA_ECC_SIMD_GF256_KERNELS_H_
 
@@ -32,6 +34,52 @@
 #include <vector>
 
 namespace silica {
+
+// Soft-demap parameters, precomputed once by SoftDecoder's constructor. The
+// constellation is separable — symbol = (e << demap::AzimuthBits(bits)) | a —
+// so a voxel's squared distance to every symbol is the sum of one
+// retardance-axis and one azimuth-axis term. Centres stay double so each axis
+// distance is one correctly rounded double subtraction before the narrowing to
+// float; everything after that is float.
+struct SoftDemapTables {
+  int bits_per_voxel = 0;  // 1..6; LLRs written per voxel
+  double retardance_centre[8] = {};  // per energy level e
+  double azimuth_centre[8] = {};     // per azimuth angle a
+  float inv_two_var_retardance = 0.0f;  // 1 / (2 sigma_r^2)
+  float inv_two_var_azimuth = 0.0f;     // 1 / (2 sigma_a^2)
+  float log_miss_prior = 0.0f;          // log(miss_prior) < 0
+  float inv_temperature = 0.0f;
+};
+
+// Shared constants of the soft demapper's float exp/log. Every tier evaluates
+// the same polynomials with the same IEEE operations in the same order (no
+// FMA), so the constants must come from one place.
+namespace demap {
+// Constellation's split of a symbol's bits: the azimuth axis takes the extra
+// bit when bits_per_voxel is odd.
+constexpr int AzimuthBits(int bits_per_voxel) { return (bits_per_voxel + 1) / 2; }
+
+inline constexpr double kPi = 3.14159265358979323846;
+inline constexpr float kLlrClamp = 30.0f;
+inline constexpr float kLlrEpsilon = 1e-12f;  // regularizer of the bit ratio
+inline constexpr float kExpMinArg = -87.0f;   // exp stays a normal float
+inline constexpr float kRoundMagic = 12582912.0f;  // 1.5 * 2^23
+inline constexpr float kLog2e = 1.44269504088896341f;
+inline constexpr float kLn2Hi = 0.693359375f;  // 9 significant bits: n * kLn2Hi exact
+inline constexpr float kLn2Lo = -2.12194440e-4f;
+// exp(r) on |r| <= ln2/2: 1 + r + r^2 * P(r) (Cephes expf).
+inline constexpr float kExpP[6] = {1.9875691500e-4f, 1.3981999507e-3f,
+                                   8.3334519073e-3f, 4.1665795894e-2f,
+                                   1.6666665459e-1f, 5.0000001201e-1f};
+inline constexpr float kSqrtHalf = 0.707106781186547524f;
+// log(1 + x) on sqrt(1/2) - 1 <= x < sqrt(2) - 1: x - x^2/2 + x^3 * Q(x)
+// (Cephes logf).
+inline constexpr float kLogQ[9] = {7.0376836292e-2f,  -1.1514610310e-1f,
+                                   1.1676998740e-1f,  -1.2420140846e-1f,
+                                   1.4249322787e-1f,  -1.6668057665e-1f,
+                                   2.0000714765e-1f,  -2.4999993993e-1f,
+                                   3.3333331174e-1f};
+}  // namespace demap
 
 enum class SimdMode {
   kAuto = 0,    // pick the best tier the CPU supports (default)
@@ -78,6 +126,15 @@ struct Gf256Kernels {
   uint64_t (*ldpc_check_node)(float* posterior, float* msgs,
                               const uint32_t* vars, uint32_t deg,
                               float normalization);
+
+  // Fused soft demap of `voxels` measurements straight to bit LLRs:
+  // observables holds interleaved (retardance, azimuth) doubles, one pair per
+  // voxel; llrs receives bits_per_voxel floats per voxel (voxel-major,
+  // LSB-first, positive = "bit is 0"). Must reproduce SoftDecoder's scalar
+  // demap loop bit for bit, for any voxel count and any finite or non-finite
+  // input. Null for tiers without a vectorized demapper.
+  void (*soft_demap)(const SoftDemapTables& tables, const double* observables,
+                     size_t voxels, float* llrs);
 };
 
 // The portable reference tier (always available).

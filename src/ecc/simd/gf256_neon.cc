@@ -108,6 +108,7 @@ const Gf256Kernels* NeonKernels() {
       .mul_accumulate16 = nullptr,
       .xor_and_fold = nullptr,
       .ldpc_check_node = nullptr,
+      .soft_demap = nullptr,
   };
   return &k;
 }

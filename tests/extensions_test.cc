@@ -4,6 +4,7 @@
 
 #include "channel/channel_estimator.h"
 #include "channel/sector_codec.h"
+#include "channel/soft_decoder.h"
 #include "common/units.h"
 #include "core/deployment.h"
 #include "core/library_sim.h"
@@ -37,6 +38,19 @@ TEST(ChannelEstimator, RecoversTrueSigmas) {
   EXPECT_EQ(estimate.samples, 4096u);
   EXPECT_NEAR(estimate.retardance_sigma, 0.05, 0.01);
   EXPECT_NEAR(estimate.azimuth_sigma, 0.08, 0.02);
+}
+
+TEST(ChannelEstimator, TooFewPilotsFailLoudlyInTheDecoder) {
+  // Fewer than 2 pilots estimate sigma = 0; a decoder built from that would
+  // turn every LLR into NaN, so construction must throw instead.
+  const Constellation constellation(3);
+  ChannelEstimator estimator(constellation);
+  const std::vector<uint16_t> pilot = {5};
+  const std::vector<VoxelObservable> measured = {constellation.Point(5)};
+  estimator.AddPilots(pilot, measured);
+  const ReadChannelParams params = estimator.Estimate().ToParams();
+  EXPECT_EQ(params.retardance_sigma, 0.0);
+  EXPECT_THROW(SoftDecoder(constellation, params), std::invalid_argument);
 }
 
 TEST(ChannelEstimator, CalibratedDecoderBeatsStale) {
@@ -81,11 +95,11 @@ TEST(ChannelEstimator, CalibratedDecoderBeatsStale) {
     const auto symbols = codec.EncodeSector(payload);
     const auto analog = writer.WriteSector(symbols, g.sector_rows, g.sector_cols, rng);
     const auto measured = reader.ReadSector(analog, rng);
-    if (auto d = codec.DecodeSector(stale_decoder.Decode(measured), stale_decoder);
+    if (auto d = codec.DecodeFromLlrs(stale_decoder.DemapToLlrs(measured));
         d && *d == payload) {
       ++stale_ok;
     }
-    if (auto d = codec.DecodeSector(calibrated.Decode(measured), calibrated);
+    if (auto d = codec.DecodeFromLlrs(calibrated.DemapToLlrs(measured));
         d && *d == payload) {
       ++calibrated_ok;
     }

@@ -2,17 +2,25 @@
 // (src/ecc/simd/). The contract under test: every dispatch tier available on
 // this machine is bit-identical to the scalar reference for every data-plane
 // kernel — GF(256)/GF(2^16) multiply-accumulate, the packed parity fold, dense
-// matrix products, and the LDPC min-sum decoder (hard decisions AND iteration
-// counts). SIMD remainder paths are a classic source of wrong-answer bugs, so
-// the suites sweep lengths through 0..3x the widest vector width and run on
-// deliberately misaligned pointers.
+// matrix products, the LDPC min-sum decoder (hard decisions AND iteration
+// counts), and the fused soft demapper (every LLR bit). SIMD remainder paths
+// are a classic source of wrong-answer bugs, so the suites sweep lengths
+// through 0..3x the widest vector width and run on deliberately misaligned
+// pointers.
+#include <bit>
+#include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <span>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "channel/constellation.h"
+#include "channel/soft_decoder.h"
 #include "common/rng.h"
 #include "ecc/gf256.h"
 #include "ecc/gf65536.h"
@@ -449,6 +457,112 @@ TEST(Gf256Kernels, NetworkCodecReconstructIdenticalAcrossTiers) {
   }
   for (size_t t = 1; t < results.size(); ++t) {
     ASSERT_EQ(results[t], results[0]);
+  }
+}
+
+// --- Fused soft demapper ----------------------------------------------------
+
+// Demaps `obs` under every available tier; each must return the scalar loop's
+// LLRs bit for bit.
+void ExpectDemapIdenticalAcrossTiers(const SoftDecoder& decoder,
+                                     std::span<const VoxelObservable> obs,
+                                     const std::string& what) {
+  std::vector<float> reference;
+  {
+    ScopedSimdMode guard(SimdMode::kScalar);
+    reference = decoder.DemapToLlrs(obs);
+  }
+  ASSERT_EQ(reference.size(),
+            obs.size() * static_cast<size_t>(decoder.constellation().bits_per_voxel()));
+  for (const SimdMode tier : Tiers()) {
+    ScopedSimdMode guard(tier);
+    const auto llrs = decoder.DemapToLlrs(obs);
+    ASSERT_EQ(llrs.size(), reference.size());
+    for (size_t i = 0; i < llrs.size(); ++i) {
+      ASSERT_EQ(std::bit_cast<uint32_t>(llrs[i]), std::bit_cast<uint32_t>(reference[i]))
+          << "tier " << SimdModeName(tier) << ", " << what << ", llr " << i
+          << ": " << llrs[i] << " vs scalar " << reference[i];
+    }
+  }
+}
+
+// Every measurement shape a read channel can produce plus the edges of the
+// demapper's domain: the clamped retardance range, azimuths on and outside
+// [0, pi) (reduced mod pi), and non-finite values.
+std::vector<VoxelObservable> DemapEdgeObservables() {
+  const double pi = 3.14159265358979323846;
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<double> retardances = {0.0, -0.0, 1e-9, 0.4, 0.7, 1.0, 1.5,
+                                           -0.2, 3.0, nan, inf, -inf};
+  const std::vector<double> azimuths = {0.0,  -0.0, 1e-12, std::nextafter(pi, 0.0),
+                                        pi,   0.3,  -0.3,  pi + 0.2,
+                                        7.0,  -100.0, 1e6, 1e300,
+                                        nan,  inf,  -inf};
+  std::vector<VoxelObservable> obs;
+  for (const double r : retardances) {
+    for (const double a : azimuths) {
+      obs.push_back({r, a});
+    }
+  }
+  return obs;
+}
+
+std::vector<VoxelObservable> RandomObservables(size_t count, Rng& rng) {
+  std::vector<VoxelObservable> obs(count);
+  for (auto& o : obs) {
+    o.retardance = rng.Uniform(-0.1, 1.6);
+    o.azimuth = rng.Uniform(0.0, 3.14159265358979323846);
+  }
+  return obs;
+}
+
+TEST(Gf256Kernels, SoftDemapIdenticalAcrossTiersEveryConstellation) {
+  Rng rng(2718);
+  const ReadChannelParams pristine{};
+  // The stale decoder of ChannelEstimator.CalibratedDecoderBeatsStale.
+  const ReadChannelParams stale{.retardance_sigma = 0.004, .azimuth_sigma = 0.006};
+  for (int bits = 1; bits <= 6; ++bits) {
+    const Constellation constellation(bits);
+    const std::vector<std::pair<std::string, SoftDecoder>> decoders = {
+        {"pristine", SoftDecoder(constellation, pristine)},
+        {"stale", SoftDecoder(constellation, stale)},
+        {"temperature 2.5", SoftDecoder(constellation, pristine, {.temperature = 2.5})},
+        {"temperature 0.4", SoftDecoder(constellation, pristine, {.temperature = 0.4})},
+        {"miss_prior 0.5", SoftDecoder(constellation, pristine, {.miss_prior = 0.5})},
+    };
+    std::vector<VoxelObservable> points;
+    for (int s = 0; s < constellation.num_symbols(); ++s) {
+      points.push_back(constellation.Point(static_cast<uint16_t>(s)));
+    }
+    const auto edges = DemapEdgeObservables();
+    const auto random = RandomObservables(2048 + 3, rng);
+    for (const auto& [name, decoder] : decoders) {
+      const std::string what = std::to_string(bits) + " bits, " + name;
+      ExpectDemapIdenticalAcrossTiers(decoder, points, what + ", exact points");
+      ExpectDemapIdenticalAcrossTiers(decoder, edges, what + ", edges");
+      ExpectDemapIdenticalAcrossTiers(decoder, random, what + ", random");
+    }
+  }
+}
+
+TEST(Gf256Kernels, SoftDemapIdenticalAcrossTiersForEverySectorLength) {
+  // Lengths around the 8-voxel block, so every partial final block is run.
+  Rng rng(31415);
+  const Constellation constellation(3);
+  const SoftDecoder decoder(constellation, ReadChannelParams{});
+  const auto random = RandomObservables(3 * 8 + 3, rng);
+  for (size_t len = 0; len <= random.size(); ++len) {
+    ExpectDemapIdenticalAcrossTiers(
+        decoder, std::span<const VoxelObservable>(random.data(), len),
+        "length " + std::to_string(len));
+  }
+  // Out-of-range azimuths in a short final block and at every lane.
+  auto edges = DemapEdgeObservables();
+  for (size_t len = 1; len <= 17; ++len) {
+    ExpectDemapIdenticalAcrossTiers(
+        decoder, std::span<const VoxelObservable>(edges.data() + edges.size() - len, len),
+        "edge tail length " + std::to_string(len));
   }
 }
 

@@ -369,6 +369,18 @@ std::vector<FileData> PipelineFiles(Rng& rng) {
   return files;
 }
 
+void ExpectSameGlass(const GlassPlatter& a, const GlassPlatter& b,
+                     const MediaGeometry& g, const std::string& what) {
+  for (int t = 0; t < g.tracks_per_platter(); ++t) {
+    for (int s = 0; s < g.sectors_per_track(); ++s) {
+      const auto x = a.SectorSymbols({t, s});
+      const auto y = b.SectorSymbols({t, s});
+      ASSERT_TRUE(std::equal(x.begin(), x.end(), y.begin(), y.end()))
+          << what << ", track " << t << " sector " << s;
+    }
+  }
+}
+
 TEST(DataPlaneParallel, WriteAndReadIdenticalForAnyWorkerCountAboveOne) {
   // The parallel path forks a child RNG per sector, so every pool size > 1 must
   // produce the same platter and the same decoded payloads.
@@ -388,13 +400,25 @@ TEST(DataPlaneParallel, WriteAndReadIdenticalForAnyWorkerCountAboveOne) {
 
   const auto two = write_with_pool(2);
   const auto four = write_with_pool(4);
-  for (int t = 0; t < g.tracks_per_platter(); ++t) {
-    for (int s = 0; s < g.sectors_per_track(); ++s) {
-      const auto a = two.platter.SectorSymbols({t, s});
-      const auto b = four.platter.SectorSymbols({t, s});
-      ASSERT_TRUE(std::equal(a.begin(), a.end(), b.begin(), b.end()))
-          << "track " << t << " sector " << s;
-    }
+  ExpectSameGlass(two.platter, four.platter, g, "info platter");
+
+  // The set's redundancy platters fan out the same way.
+  auto encode_set_with_pool = [&](size_t workers) {
+    ThreadPool pool(workers);
+    plane.SetThreadPool(&pool);
+    const PlatterSetCodec codec(plane, {.info = 2, .redundancy = 2});
+    Rng rng(5151);
+    auto redundancy = codec.EncodeRedundancyPlatters({&two, &four}, 100, rng);
+    plane.SetThreadPool(nullptr);
+    return redundancy;
+  };
+  const auto set_two = encode_set_with_pool(2);
+  const auto set_four = encode_set_with_pool(4);
+  ASSERT_EQ(set_two.size(), 2u);
+  ASSERT_EQ(set_four.size(), 2u);
+  for (size_t r = 0; r < set_two.size(); ++r) {
+    ExpectSameGlass(set_two[r].platter, set_four[r].platter, g,
+                    "redundancy platter " + std::to_string(r));
   }
 
   auto read_with_pool = [&](size_t workers) {
@@ -462,13 +486,25 @@ TEST(DataPlaneParallel, SerialPathMatchesDetachedPool) {
   const auto detached = write_serialish(false);
   const auto singleton = write_serialish(true);
   const MediaGeometry& g = plane.geometry();
-  for (int t = 0; t < g.tracks_per_platter(); ++t) {
-    for (int s = 0; s < g.sectors_per_track(); ++s) {
-      const auto a = detached.platter.SectorSymbols({t, s});
-      const auto b = singleton.platter.SectorSymbols({t, s});
-      ASSERT_TRUE(std::equal(a.begin(), a.end(), b.begin(), b.end()))
-          << "track " << t << " sector " << s;
-    }
+  ExpectSameGlass(detached.platter, singleton.platter, g, "info platter");
+
+  auto encode_set_serialish = [&](bool with_singleton_pool) {
+    ThreadPool pool(1);
+    plane.SetThreadPool(with_singleton_pool ? &pool : nullptr);
+    const PlatterSetCodec codec(plane, {.info = 2, .redundancy = 2});
+    Rng rng(5151);
+    auto redundancy =
+        codec.EncodeRedundancyPlatters({&detached, &singleton}, 100, rng);
+    plane.SetThreadPool(nullptr);
+    return redundancy;
+  };
+  const auto set_detached = encode_set_serialish(false);
+  const auto set_singleton = encode_set_serialish(true);
+  ASSERT_EQ(set_detached.size(), 2u);
+  ASSERT_EQ(set_singleton.size(), 2u);
+  for (size_t r = 0; r < set_detached.size(); ++r) {
+    ExpectSameGlass(set_detached[r].platter, set_singleton[r].platter, g,
+                    "redundancy platter " + std::to_string(r));
   }
 }
 

@@ -282,6 +282,7 @@ def compare_decode_stack(base, cand, tolerance):
             ("gf256_gbps", "gf256 GB/s", +1),
             ("recovery_sectors_per_second", "recovery sectors/s", +1),
             ("ldpc_decodes_per_second", "ldpc decodes/s", +1),
+            ("demap_sectors_per_second", "demap sectors/s", +1),
         ]:
             b = base_tiers[tier].get(key)
             c = cand_tiers[tier].get(key)
