@@ -12,7 +12,6 @@
 #include <cstdint>
 #include <cstring>
 #include <functional>
-#include <ostream>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -446,10 +445,6 @@ struct RoundTripCase {
   std::string type;
   std::function<std::pair<Bytes, Bytes>()> run;
 };
-
-// Test listings print each case's parameter; without this gtest prints the
-// struct's raw bytes, which start with a heap address and drift between builds.
-void PrintTo(const RoundTripCase& c, std::ostream* os) { *os << c.type; }
 
 std::vector<RoundTripCase> RoundTripCases() {
   // Platters repeat in this trace, so scheduler groups hold several requests.
