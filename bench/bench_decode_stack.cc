@@ -8,8 +8,8 @@
 // --threads=N sizes the worker pool for the measured run (default: hardware
 // concurrency); a 1-thread baseline always runs first so the speedup is reported.
 // --simd=auto|scalar|avx2|neon forces the kernel tier for the full-stack run.
-// --json emits one machine-readable object on stdout (sectors/s per worker count,
-// speedup vs 1 thread, and a per-SIMD-tier kernel-stage section — GF(256),
+// --json emits one machine-readable object on stdout (sectors/s and an FNV-1a
+// payload checksum per worker count, speedup vs 1 thread, and a per-SIMD-tier kernel-stage section — GF(256),
 // recovery, LDPC and the fused soft demap — with a bit-identity checksum) for
 // BENCH_decode.json trajectories; see tools/compare_runs.py for the diff rules.
 #include <chrono>
@@ -37,11 +37,24 @@
 namespace silica {
 namespace {
 
+constexpr uint64_t kFnvBasis = 1469598103934665603ull;
+
+uint64_t Fnv1a(const uint8_t* data, size_t len, uint64_t h) {
+  for (size_t i = 0; i < len; ++i) {
+    h ^= data[i];
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
 struct ThroughputRun {
   int threads = 1;
   uint64_t sectors = 0;
   double wall_seconds = 0.0;
   double sectors_per_second = 0.0;
+  // FNV-1a over every decoded payload and its failure flag: thread count must
+  // not change it.
+  uint64_t payload_checksum = kFnvBasis;
 };
 
 // Writes one full platter, then times the read path (channel sim + soft decode +
@@ -61,7 +74,13 @@ ThroughputRun MeasureDecodeThroughput(DataPlane& plane,
     ReadStats stats;
     const auto decoded = reader.ReadTrackPayloads(written.platter, t, rng, &stats);
     run.sectors += stats.sectors_read;
-    (void)decoded;
+    for (const auto& payload : decoded) {
+      const uint8_t failed = payload ? 0 : 1;
+      run.payload_checksum = Fnv1a(&failed, 1, run.payload_checksum);
+      if (payload) {
+        run.payload_checksum = Fnv1a(payload->data(), payload->size(), run.payload_checksum);
+      }
+    }
   }
   run.wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
@@ -86,16 +105,6 @@ struct TierRun {
   double demap_sectors_per_second = 0.0;     // fused soft demap, image -> LLRs
   uint64_t checksum = 0;                     // FNV-1a over all stage outputs
 };
-
-constexpr uint64_t kFnvBasis = 1469598103934665603ull;
-
-uint64_t Fnv1a(const uint8_t* data, size_t len, uint64_t h) {
-  for (size_t i = 0; i < len; ++i) {
-    h ^= data[i];
-    h *= 1099511628211ull;
-  }
-  return h;
-}
 
 double Seconds(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
@@ -323,6 +332,12 @@ void ElasticitySweep() {
   }
 }
 
+std::string Hex(uint64_t value) {
+  char hex[32];
+  std::snprintf(hex, sizeof(hex), "%016llx", static_cast<unsigned long long>(value));
+  return hex;
+}
+
 int Run(int threads, bool json, SimdMode simd) {
   // Per-tier kernel-stage runs first (they force tiers globally; the full-stack
   // run below then pins the requested tier). Scalar is always index 0.
@@ -386,19 +401,17 @@ int Run(int threads, bool json, SimdMode simd) {
           .Field("sectors", r.sectors)
           .Field("wall_seconds", r.wall_seconds)
           .Field("sectors_per_second", r.sectors_per_second)
+          .Field("payload_checksum", Hex(r.payload_checksum))
           .Str();
     };
     auto render_tier = [](const TierRun& t) {
-      char checksum_hex[32];
-      std::snprintf(checksum_hex, sizeof(checksum_hex), "%016llx",
-                    static_cast<unsigned long long>(t.checksum));
       return JsonObject()
           .Field("tier", t.tier)
           .Field("gf256_gbps", t.gf256_gbps)
           .Field("recovery_sectors_per_second", t.recovery_sectors_per_second)
           .Field("ldpc_decodes_per_second", t.ldpc_decodes_per_second)
           .Field("demap_sectors_per_second", t.demap_sectors_per_second)
-          .Field("checksum", std::string(checksum_hex))
+          .Field("checksum", Hex(t.checksum))
           .Str();
     };
     std::vector<std::string> tier_json;
@@ -436,15 +449,17 @@ int Run(int threads, bool json, SimdMode simd) {
               bit_identical ? "bit-identical" : "DIVERGED (BUG)");
 
   Header("Decode stack: multicore sector-decode throughput");
-  std::printf("%-10s %10s %14s %18s %10s\n", "threads", "sectors", "wall (s)",
-              "sectors/s", "speedup");
-  std::printf("%-10d %10llu %14.3f %18.1f %9.2fx\n", baseline.threads,
+  std::printf("%-10s %10s %14s %18s %10s %18s\n", "threads", "sectors", "wall (s)",
+              "sectors/s", "speedup", "payload checksum");
+  std::printf("%-10d %10llu %14.3f %18.1f %9.2fx   %s\n", baseline.threads,
               static_cast<unsigned long long>(baseline.sectors),
-              baseline.wall_seconds, baseline.sectors_per_second, 1.0);
+              baseline.wall_seconds, baseline.sectors_per_second, 1.0,
+              Hex(baseline.payload_checksum).c_str());
   if (threads > 1) {
-    std::printf("%-10d %10llu %14.3f %18.1f %9.2fx\n", threaded.threads,
+    std::printf("%-10d %10llu %14.3f %18.1f %9.2fx   %s\n", threaded.threads,
                 static_cast<unsigned long long>(threaded.sectors),
-                threaded.wall_seconds, threaded.sectors_per_second, speedup);
+                threaded.wall_seconds, threaded.sectors_per_second, speedup,
+                Hex(threaded.payload_checksum).c_str());
   }
 
   SloSweep();

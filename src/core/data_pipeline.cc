@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <cassert>
 #include <chrono>
+#include <cstdint>
 #include <cstring>
+#include <numeric>
 #include <stdexcept>
 
 #include "common/thread_pool.h"
@@ -30,18 +32,20 @@ std::vector<uint8_t> WordsToBytes(std::span<const uint16_t> words, size_t byte_l
 }
 
 // Encodes every sector payload through LDPC and the write channel onto
-// `platter` (failed voxels stored as kMissingVoxel). Determinism contract: with
-// no pool (or one worker) the sectors consume `rng` sequentially in (track,
-// sector) order — byte-identical to the unthreaded build. With more workers
-// the parent stream is advanced once and each sector draws noise from a forked
-// child keyed by its flat index, so the platter is deterministic and the same
-// for every worker count > 1.
+// `platter` (failed voxels stored as kMissingVoxel). Determinism contract: the
+// caller's stream advances exactly once and sector (t, s) draws its noise from
+// a child forked by its flat index t * S + s, so the glass is the same with no
+// pool and with any worker count.
 void WriteSectors(const DataPlane& plane,
                   const std::vector<std::vector<std::vector<uint8_t>>>& payloads,
                   GlassPlatter& platter, Rng& rng) {
   const MediaGeometry& g = plane.geometry();
   const size_t sectors = static_cast<size_t>(g.sectors_per_track());
-  auto write_one = [&](size_t idx, Rng& noise) {
+  const Rng base = rng;
+  rng.NextU64();
+  // Each index writes only its own sector slot, so the fan-out is race-free.
+  ParallelFor(plane.thread_pool(), payloads.size() * sectors, [&](size_t idx) {
+    Rng noise = base.Fork(idx);
     auto symbols = plane.sector_codec().EncodeSector(payloads[idx / sectors][idx % sectors]);
     const auto analog = plane.write_channel().WriteSector(symbols, g.sector_rows,
                                                           g.sector_cols, noise);
@@ -50,30 +54,9 @@ void WriteSectors(const DataPlane& plane,
         symbols[v] = kMissingVoxel;
       }
     }
-    return symbols;
-  };
-  auto address = [&](size_t idx) {
-    return SectorAddress{static_cast<int>(idx / sectors),
-                         static_cast<int>(idx % sectors)};
-  };
-  const size_t total = payloads.size() * sectors;
-  ThreadPool* pool = plane.thread_pool();
-  if (pool == nullptr || pool->size() <= 1) {
-    for (size_t idx = 0; idx < total; ++idx) {
-      platter.WriteSector(address(idx), write_one(idx, rng));
-    }
-    return;
-  }
-  const Rng base = rng;
-  rng.NextU64();
-  std::vector<std::vector<uint16_t>> grid(total);
-  ParallelFor(pool, total, [&](size_t idx) {
-    Rng child = base.Fork(idx);
-    grid[idx] = write_one(idx, child);
+    platter.WriteSector({static_cast<int>(idx / sectors), static_cast<int>(idx % sectors)},
+                        std::move(symbols));
   });
-  for (size_t idx = 0; idx < total; ++idx) {
-    platter.WriteSector(address(idx), std::move(grid[idx]));
-  }
 }
 
 }  // namespace
@@ -206,28 +189,18 @@ WrittenPlatter PlatterWriter::WritePlatter(uint64_t platter_id,
   return out;
 }
 
-std::vector<VoxelObservable> PlatterReader::ImageSector(const GlassPlatter& platter,
-                                                       SectorAddress address,
-                                                       Rng& rng) const {
+std::optional<std::vector<uint8_t>> PlatterReader::DecodeSector(
+    const GlassPlatter& platter, SectorAddress address, Rng& rng) const {
   const MediaGeometry& g = plane_->geometry();
-  const auto symbols = platter.SectorSymbols(address);
   // Aged glass measures noisier than the decoder's pristine priors assume; the
   // pristine path is untouched (bit-identical) when the platter never aged.
   const ReadChannel aged(plane_->read_channel().params().Aged(platter.age_stress()));
   const ReadChannel& channel =
       platter.age_stress() > 0.0 ? aged : plane_->read_channel();
-  return channel.ReadSymbols(plane_->constellation(), symbols, g.sector_rows,
-                             g.sector_cols, rng);
-}
-
-std::optional<std::vector<uint8_t>> PlatterReader::DecodeImage(
-    std::span<const VoxelObservable> image) const {
+  const auto image = channel.ReadSymbols(plane_->constellation(),
+                                         platter.SectorSymbols(address),
+                                         g.sector_rows, g.sector_cols, rng);
   return plane_->sector_codec().DecodeFromLlrs(plane_->soft_decoder().DemapToLlrs(image));
-}
-
-std::optional<std::vector<uint8_t>> PlatterReader::DecodeSector(
-    const GlassPlatter& platter, SectorAddress address, Rng& rng) const {
-  return DecodeImage(ImageSector(platter, address, rng));
 }
 
 std::vector<std::optional<std::vector<uint8_t>>> PlatterReader::ReadTrackPayloads(
@@ -239,37 +212,41 @@ std::vector<std::optional<std::vector<uint8_t>>> PlatterReader::ReadTrackPayload
 
 std::vector<std::optional<std::vector<uint8_t>>> PlatterReader::ReadTrack(
     const GlassPlatter& platter, int track, std::span<const uint8_t> wanted,
-    Rng& rng, ReadStats* stats) const {
+    Rng& rng, ReadStats* stats, int retries) const {
   const MediaGeometry& g = plane_->geometry();
   const size_t sectors = static_cast<size_t>(g.sectors_per_track());
   const size_t info_sectors = static_cast<size_t>(g.info_sectors_per_track);
   assert(wanted.size() == sectors);
+  const DataPlane::StageCounters& counters = plane_->stage_counters();
+  ThreadPool* pool = plane_->thread_pool();
+
+  // Determinism contract: the caller's stream advances exactly once. Sector
+  // (t, s), of this track or of a large-group peer, draws its noise from
+  // base.Fork(t * S + s); retry a >= 1 of it adds a * (sectors on the platter)
+  // to that key, so no two images in the pass share a stream. Which sectors
+  // are decoded, and on how many threads, never changes what any sector sees.
+  const Rng base = rng;
+  rng.NextU64();
+  const size_t sector_keys = static_cast<size_t>(g.tracks_per_platter()) * sectors;
+  auto decode = [&](size_t t, size_t s, int attempt) {
+    Rng noise = base.Fork(static_cast<size_t>(attempt) * sector_keys + t * sectors + s);
+    return DecodeSector(platter, {static_cast<int>(t), static_cast<int>(s)}, noise);
+  };
+  // Counters are not thread-safe, so fan-outs only write their own slots and
+  // tallies run after.
+  auto tally = [&](uint64_t ReadStats::*field, Counter* counter, uint64_t n) {
+    if (stats != nullptr) {
+      stats->*field += n;
+    }
+    if (counter != nullptr) {
+      counter->Increment(static_cast<double>(n));
+    }
+  };
 
   std::vector<std::optional<std::vector<uint8_t>>> decoded(sectors);
   std::vector<uint8_t> attempted(sectors, 0);
-  const DataPlane::StageCounters& counters = plane_->stage_counters();
-  ThreadPool* pool = plane_->thread_pool();
-  const bool parallel = pool != nullptr && pool->size() > 1;
   const auto decode_start = std::chrono::steady_clock::now();
-
-  // Determinism contract: the noise each sector sees is independent of which
-  // sectors are decoded. Parallel: sector s is imaged from a child stream forked
-  // by its index and the parent advances exactly once, so unwanted sectors are
-  // simply never imaged. Serial: every sector is imaged from the shared stream
-  // in index order (consumption as for a full read) and only the decode is
-  // skipped; unwanted images are kept in case the fallback needs them.
-  const Rng base = rng;
-  std::vector<std::vector<VoxelObservable>> images;
-  if (parallel) {
-    rng.NextU64();
-  } else {
-    images.resize(sectors);
-    for (size_t s = 0; s < sectors; ++s) {
-      images[s] = ImageSector(platter, {track, static_cast<int>(s)}, rng);
-    }
-  }
-  // Decodes every not-yet-attempted sector `pick` selects. Counters are not
-  // thread-safe, so the fan-out only writes decoded[s]; tallies run after.
+  // Decodes every not-yet-attempted sector `pick` selects.
   auto decode_pass = [&](auto pick) {
     std::vector<size_t> todo;
     for (size_t s = 0; s < sectors; ++s) {
@@ -278,17 +255,9 @@ std::vector<std::optional<std::vector<uint8_t>>> PlatterReader::ReadTrack(
         todo.push_back(s);
       }
     }
-    if (parallel) {
-      ParallelFor(pool, todo.size(), [&](size_t i) {
-        const size_t s = todo[i];
-        Rng child = base.Fork(s);
-        decoded[s] = DecodeSector(platter, {track, static_cast<int>(s)}, child);
-      });
-    } else {
-      for (size_t s : todo) {
-        decoded[s] = DecodeImage(images[s]);
-      }
-    }
+    ParallelFor(pool, todo.size(), [&](size_t i) {
+      decoded[todo[i]] = decode(static_cast<size_t>(track), todo[i], 0);
+    });
   };
   decode_pass([&](size_t s) { return wanted[s] != 0; });
   // Fallback: a failed wanted information sector needs NC, which needs the rest
@@ -303,24 +272,13 @@ std::vector<std::optional<std::vector<uint8_t>>> PlatterReader::ReadTrack(
       std::chrono::duration<double>(std::chrono::steady_clock::now() - decode_start)
           .count();
   uint64_t sectors_decoded = 0;
+  uint64_t failures = 0;
   for (size_t s = 0; s < sectors; ++s) {
-    if (!attempted[s]) {
-      continue;
-    }
-    ++sectors_decoded;
-    if (stats != nullptr) {
-      ++stats->sectors_read;
-      if (!decoded[s]) {
-        ++stats->ldpc_failures;
-      }
-    }
-    if (counters.sectors_read != nullptr) {
-      counters.sectors_read->Increment();
-      if (!decoded[s]) {
-        counters.ldpc_failures->Increment();
-      }
-    }
+    sectors_decoded += attempted[s];
+    failures += attempted[s] && !decoded[s];
   }
+  tally(&ReadStats::sectors_read, counters.sectors_read, sectors_decoded);
+  tally(&ReadStats::ldpc_failures, counters.ldpc_failures, failures);
   if (counters.decode_wall_seconds != nullptr) {
     counters.decode_wall_seconds->Set(wall_seconds);
   }
@@ -329,15 +287,32 @@ std::vector<std::optional<std::vector<uint8_t>>> PlatterReader::ReadTrack(
                                      wall_seconds);
   }
 
-  // Within-track recovery of missing information sectors. Without the fallback
-  // no attempted information sector failed, so nothing is missing and the
-  // unattempted ones stay nullopt.
+  // Without the fallback no attempted information sector failed, so nothing is
+  // missing and the unattempted ones stay nullopt.
   std::vector<size_t> missing;
   for (size_t s = 0; s < info_sectors; ++s) {
     if (attempted[s] && !decoded[s]) {
       missing.push_back(s);
     }
   }
+
+  // Tier 0: re-image each failed information sector; marginal sectors on aged
+  // glass often decode on a fresh noise draw.
+  if (retries > 0 && !missing.empty()) {
+    std::vector<int> tries(missing.size(), 0);
+    ParallelFor(pool, missing.size(), [&](size_t i) {
+      while (!decoded[missing[i]] && tries[i] < retries) {
+        decoded[missing[i]] = decode(static_cast<size_t>(track), missing[i], ++tries[i]);
+      }
+    });
+    const size_t before = missing.size();
+    std::erase_if(missing, [&](size_t s) { return decoded[s].has_value(); });
+    tally(&ReadStats::recovery_reads, counters.recovery_reads,
+          static_cast<uint64_t>(std::accumulate(tries.begin(), tries.end(), 0)));
+    tally(&ReadStats::ldpc_retry_recoveries, nullptr, before - missing.size());
+  }
+
+  // Tier 1: within-track NC over every sector that decoded.
   if (!missing.empty()) {
     std::vector<size_t> present_indices;
     std::vector<std::span<const uint8_t>> present;
@@ -349,26 +324,19 @@ std::vector<std::optional<std::vector<uint8_t>>> PlatterReader::ReadTrack(
     }
     std::vector<std::vector<uint8_t>> recovered(
         missing.size(), std::vector<uint8_t>(plane_->sector_payload_bytes()));
-    std::vector<std::span<uint8_t>> recovered_views;
-    for (auto& r : recovered) {
-      recovered_views.emplace_back(r);
-    }
+    std::vector<std::span<uint8_t>> recovered_views(recovered.begin(), recovered.end());
     if (plane_->track_codec().Reconstruct(present_indices, present, missing,
                                           recovered_views, pool)) {
       for (size_t m = 0; m < missing.size(); ++m) {
         decoded[missing[m]] = std::move(recovered[m]);
-        if (stats != nullptr) {
-          ++stats->track_nc_recoveries;
-        }
-        if (counters.track_nc_recoveries != nullptr) {
-          counters.track_nc_recoveries->Increment();
-        }
       }
+      tally(&ReadStats::track_nc_recoveries, counters.track_nc_recoveries,
+            missing.size());
       missing.clear();
     }
   }
 
-  // Large-group recovery across tracks for anything still missing (only
+  // Tier 2: the large group across tracks, per missing sector position (only
   // information tracks belong to large groups).
   if (!missing.empty() && track < g.info_tracks_per_platter) {
     if (stats != nullptr) {
@@ -379,54 +347,40 @@ std::vector<std::optional<std::vector<uint8_t>>> PlatterReader::ReadTrack(
     const size_t info_tracks = static_cast<size_t>(g.info_tracks_per_platter);
     const size_t grp = static_cast<size_t>(track) / group_info;
     const size_t my_offset = static_cast<size_t>(track) % group_info;
+    // The group's other shards in codec order: information tracks, then
+    // redundancy tracks. Information slots past the platter's last track
+    // (kPadding) pad a short final group with zeros and are never read.
+    constexpr size_t kPadding = SIZE_MAX;
+    std::vector<size_t> peer_index;
+    std::vector<size_t> peer_track;
+    for (size_t i = 0; i < group_info + group_red; ++i) {
+      if (i == my_offset) {
+        continue;
+      }
+      size_t t = i < group_info ? grp * group_info + i
+                                : info_tracks + grp * group_red + (i - group_info);
+      if (i < group_info && t >= info_tracks) {
+        t = kPadding;
+      }
+      peer_index.push_back(i);
+      peer_track.push_back(t);
+    }
+    const uint64_t peer_reads = static_cast<uint64_t>(
+        peer_track.size() - std::count(peer_track.begin(), peer_track.end(), kPadding));
     const std::vector<uint8_t> zero_payload(plane_->sector_payload_bytes(), 0);
-
-    std::vector<size_t> still_missing;
-    for (size_t pos : missing) {
-      // Gather the group's shards at this sector position.
+    for (const size_t pos : missing) {
+      std::vector<std::optional<std::vector<uint8_t>>> shards(peer_track.size());
+      ParallelFor(pool, peer_track.size(), [&](size_t k) {
+        shards[k] = peer_track[k] == kPadding ? zero_payload : decode(peer_track[k], pos, 0);
+      });
+      tally(&ReadStats::recovery_reads, counters.recovery_reads, peer_reads);
       std::vector<size_t> present_indices;
-      std::vector<std::vector<uint8_t>> present_storage;
-      for (size_t i = 0; i < group_info; ++i) {
-        if (i == my_offset) {
-          continue;
-        }
-        const size_t t = grp * group_info + i;
-        if (t >= info_tracks) {
-          present_indices.push_back(i);
-          present_storage.push_back(zero_payload);  // padded short group
-          continue;
-        }
-        auto shard = DecodeSector(platter, {static_cast<int>(t),
-                                            static_cast<int>(pos)}, rng);
-        if (stats != nullptr) {
-          ++stats->recovery_reads;
-        }
-        if (counters.recovery_reads != nullptr) {
-          counters.recovery_reads->Increment();
-        }
-        if (shard) {
-          present_indices.push_back(i);
-          present_storage.push_back(std::move(*shard));
-        }
-      }
-      for (size_t r = 0; r < group_red; ++r) {
-        const size_t t = info_tracks + grp * group_red + r;
-        auto shard = DecodeSector(platter, {static_cast<int>(t),
-                                            static_cast<int>(pos)}, rng);
-        if (stats != nullptr) {
-          ++stats->recovery_reads;
-        }
-        if (counters.recovery_reads != nullptr) {
-          counters.recovery_reads->Increment();
-        }
-        if (shard) {
-          present_indices.push_back(group_info + r);
-          present_storage.push_back(std::move(*shard));
-        }
-      }
       std::vector<std::span<const uint8_t>> present;
-      for (auto& p : present_storage) {
-        present.emplace_back(p);
+      for (size_t k = 0; k < shards.size(); ++k) {
+        if (shards[k]) {
+          present_indices.push_back(peer_index[k]);
+          present.emplace_back(*shards[k]);
+        }
       }
       std::vector<uint8_t> recovered(plane_->sector_payload_bytes());
       std::span<uint8_t> recovered_view(recovered);
@@ -435,17 +389,9 @@ std::vector<std::optional<std::vector<uint8_t>>> PlatterReader::ReadTrack(
               present_indices, present, want,
               std::span<const std::span<uint8_t>>(&recovered_view, 1), pool)) {
         decoded[pos] = std::move(recovered);
-        if (stats != nullptr) {
-          ++stats->large_nc_recoveries;
-        }
-        if (counters.large_nc_recoveries != nullptr) {
-          counters.large_nc_recoveries->Increment();
-        }
-      } else {
-        still_missing.push_back(pos);
+        tally(&ReadStats::large_nc_recoveries, counters.large_nc_recoveries, 1);
       }
     }
-    missing = std::move(still_missing);
   }
   return decoded;
 }
@@ -622,6 +568,26 @@ std::optional<std::vector<std::vector<uint8_t>>> PlatterSetCodec::RecoverTrack(
     const std::vector<const GlassPlatter*>& available_redundancy,
     const std::vector<size_t>& available_redundancy_indices,
     size_t missing_info_index, int track, Rng& rng, ReadStats* stats) const {
+  auto check = [](bool ok, const char* what) {
+    if (!ok) {
+      throw std::invalid_argument(std::string("PlatterSetCodec::RecoverTrack: ") + what);
+    }
+  };
+  check(available_info.size() == available_info_indices.size(),
+        "available_info and available_info_indices differ in size");
+  check(available_redundancy.size() == available_redundancy_indices.size(),
+        "available_redundancy and available_redundancy_indices differ in size");
+  const auto below = [](const std::vector<size_t>& indices, int bound) {
+    return std::all_of(indices.begin(), indices.end(),
+                       [&](size_t i) { return i < static_cast<size_t>(bound); });
+  };
+  check(below(available_info_indices, set_.info),
+        "available_info_indices entry >= set.info");
+  check(below(available_redundancy_indices, set_.redundancy),
+        "available_redundancy_indices entry >= set.redundancy");
+  check(missing_info_index < static_cast<size_t>(set_.info),
+        "missing_info_index >= set.info");
+
   const MediaGeometry& g = plane_->geometry();
   const size_t sectors = static_cast<size_t>(g.sectors_per_track());
   const size_t payload_bytes = plane_->sector_payload_bytes();

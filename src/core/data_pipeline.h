@@ -90,11 +90,10 @@ class DataPlane {
   const StageCounters& stage_counters() const { return stage_counters_; }
 
   // Attaches a worker pool; per-sector encode/decode work fans out across it.
-  // nullptr (the default) or a single-worker pool keeps the exact serial code
-  // path, including the legacy shared-Rng consumption order, so output is
-  // byte-identical to the unthreaded build. With more workers, per-sector noise
-  // comes from Rng::Fork(sector_index) child streams: still fully deterministic,
-  // and identical for every worker count > 1.
+  // nullptr (the default) runs the same loops inline. Every sector draws its
+  // noise from an Rng::Fork keyed by its address, and each write or track read
+  // advances the caller's stream exactly once, so glass, payloads and stats are
+  // identical with no pool and with any worker count.
   void SetThreadPool(ThreadPool* pool) { thread_pool_ = pool; }
   ThreadPool* thread_pool() const { return thread_pool_; }
 
@@ -144,6 +143,7 @@ struct ReadStats {
   uint64_t track_nc_recoveries = 0;    // sectors recovered by within-track NC
   uint64_t large_nc_recoveries = 0;    // sectors recovered by the large group
   uint64_t platter_set_recoveries = 0; // sectors rebuilt from the platter set
+  uint64_t ldpc_retry_recoveries = 0;  // sectors recovered by re-imaging (repair)
   uint64_t recovery_reads = 0;         // extra sector decodes issued by recovery
   bool used_large_group = false;
 };
@@ -154,12 +154,11 @@ class PlatterReader {
  public:
   explicit PlatterReader(const DataPlane& plane) : plane_(&plane) {}
 
-  // Reads a file listed in the platter header. Each touched track is imaged, but
-  // only the file's own sectors are decoded unless one of them fails. Returns the
-  // bytes a full ReadTrackPayloads over the same tracks would, consuming `rng`
-  // the same way, except that large-group recovery a full read would run only
-  // for sectors outside the file is skipped. Returns nullopt only if the data is
-  // unrecoverable by all on-platter layers. Throws std::out_of_range if the
+  // Reads a file listed in the platter header. Only the file's own sectors are
+  // imaged and decoded unless one of them fails. Returns the bytes a full
+  // ReadTrackPayloads over the same tracks would, and advances `rng` exactly as
+  // those reads would: once per touched track. Returns nullopt only if the data
+  // is unrecoverable by all on-platter layers. Throws std::out_of_range if the
   // entry extends past the platter's information sectors.
   std::optional<std::vector<uint8_t>> ReadFile(const GlassPlatter& platter,
                                                const PlatterFileEntry& entry,
@@ -173,26 +172,21 @@ class PlatterReader {
       ReadStats* stats = nullptr) const;
 
  private:
-  // The one track read: images the track and decodes the sectors `wanted` marks
-  // (nonzero). If a wanted information sector fails, the rest of the track is
-  // decoded and the NC recovery hierarchy runs as for a full read; otherwise
-  // unwanted entries stay nullopt.
+  // The one track read: decodes the sectors `wanted` marks (nonzero). If a
+  // wanted information sector fails, the rest of the track is decoded and the
+  // recovery ladder runs: up to `retries` re-images of each failed information
+  // sector, then within-track NC, then the large group. Otherwise unwanted
+  // entries stay nullopt. Advances `rng` exactly once.
   std::vector<std::optional<std::vector<uint8_t>>> ReadTrack(
       const GlassPlatter& platter, int track, std::span<const uint8_t> wanted,
-      Rng& rng, ReadStats* stats) const;
+      Rng& rng, ReadStats* stats, int retries = 0) const;
 
-  // Images one sector through the read channel: the only step that draws noise.
-  std::vector<VoxelObservable> ImageSector(const GlassPlatter& platter,
-                                           SectorAddress address, Rng& rng) const;
-  // Soft demap + LDPC + checksum of an imaged sector.
-  std::optional<std::vector<uint8_t>> DecodeImage(
-      std::span<const VoxelObservable> image) const;
-  // Raw per-sector decode attempt (image, then decode), no NC.
+  // Images one sector through the read channel, then soft demap + LDPC +
+  // checksum. `rng` is the sector's own noise stream.
   std::optional<std::vector<uint8_t>> DecodeSector(const GlassPlatter& platter,
                                                    SectorAddress address,
                                                    Rng& rng) const;
 
-  friend class PlatterVerifier;
   friend class PlatterRepairer;
   const DataPlane* plane_;
 };
@@ -247,7 +241,9 @@ class PlatterSetCodec {
   // the other platters. Requires at least I_p readable platters among the rest.
   // `stats`, when given, accumulates the peer reads this recovery issued plus
   // platter_set_recoveries for the sectors rebuilt (so callers outside
-  // PlatterVerifier still feed the plane's stage counters).
+  // PlatterVerifier still feed the plane's stage counters). Throws
+  // std::invalid_argument if a platter vector and its index vector differ in
+  // size, or if an index is out of range for the set.
   std::optional<std::vector<std::vector<uint8_t>>> RecoverTrack(
       const std::vector<const GlassPlatter*>& available_info,
       const std::vector<size_t>& available_info_indices,

@@ -13,10 +13,10 @@ PlatterRepairOutcome PlatterRepairer::Repair(
     const std::vector<size_t>& peer_redundancy_indices, size_t index_in_set,
     Rng& rng) const {
   const MediaGeometry& g = plane_->geometry();
-  const size_t sectors = static_cast<size_t>(g.sectors_per_track());
   const size_t info_sectors = static_cast<size_t>(g.info_sectors_per_track);
   const size_t info_tracks = static_cast<size_t>(g.info_tracks_per_platter);
   const size_t payload_bytes = plane_->sector_payload_bytes();
+  const std::vector<uint8_t> every_sector(static_cast<size_t>(g.sectors_per_track()), 1);
   PlatterReader reader(*plane_);
 
   PlatterRepairOutcome outcome;
@@ -26,131 +26,21 @@ PlatterRepairOutcome PlatterRepairer::Repair(
 
   for (size_t t = 0; t < info_tracks; ++t) {
     const int track = static_cast<int>(t);
-    // First pass: decode every sector of the track once (info + redundancy).
-    std::vector<std::optional<std::vector<uint8_t>>> decoded(sectors);
-    for (size_t s = 0; s < sectors; ++s) {
-      decoded[s] =
-          reader.DecodeSector(damaged, {track, static_cast<int>(s)}, rng);
-    }
-
+    // Tiers 0-2 run inside the track read; attribute what it recovered.
+    ReadStats stats;
+    auto decoded =
+        reader.ReadTrack(damaged, track, every_sector, rng, &stats, ldpc_retries_);
     std::vector<size_t> missing;
     for (size_t s = 0; s < info_sectors; ++s) {
       if (!decoded[s]) {
         missing.push_back(s);
       }
     }
-    outcome.ledger.detected += missing.size();
-    if (missing.empty()) {
-      for (size_t s = 0; s < info_sectors; ++s) {
-        grid[t][s] = std::move(*decoded[s]);
-      }
-      continue;
-    }
-
-    // Tier 0: re-read the failing sectors; marginal (aged but not eroded)
-    // sectors often decode on a fresh noise draw.
-    std::vector<size_t> still;
-    for (const size_t s : missing) {
-      bool recovered = false;
-      for (int attempt = 0; attempt < ldpc_retries_ && !recovered; ++attempt) {
-        auto retry =
-            reader.DecodeSector(damaged, {track, static_cast<int>(s)}, rng);
-        if (retry) {
-          decoded[s] = std::move(retry);
-          recovered = true;
-        }
-      }
-      if (recovered) {
-        outcome.ledger.Add(RepairTier::kLdpcRetry, 1);
-      } else {
-        still.push_back(s);
-      }
-    }
-    missing = std::move(still);
-
-    // Tier 1: within-track NC over everything that decoded (info + redundancy).
-    if (!missing.empty()) {
-      std::vector<size_t> present_indices;
-      std::vector<std::span<const uint8_t>> present;
-      for (size_t s = 0; s < sectors; ++s) {
-        if (decoded[s]) {
-          present_indices.push_back(s);
-          present.emplace_back(*decoded[s]);
-        }
-      }
-      std::vector<std::vector<uint8_t>> recovered(
-          missing.size(), std::vector<uint8_t>(payload_bytes));
-      std::vector<std::span<uint8_t>> views;
-      for (auto& r : recovered) {
-        views.emplace_back(r);
-      }
-      if (plane_->track_codec().Reconstruct(present_indices, present, missing,
-                                            views, plane_->thread_pool())) {
-        for (size_t m = 0; m < missing.size(); ++m) {
-          decoded[missing[m]] = std::move(recovered[m]);
-        }
-        outcome.ledger.Add(RepairTier::kTrackNc, missing.size());
-        missing.clear();
-      }
-    }
-
-    // Tier 2: large-group NC across the platter's tracks, per sector position.
-    if (!missing.empty()) {
-      const size_t group_info = static_cast<size_t>(g.large_group_info_tracks);
-      const size_t group_red =
-          static_cast<size_t>(g.large_group_redundancy_tracks);
-      const size_t grp = t / group_info;
-      const size_t my_offset = t % group_info;
-      const std::vector<uint8_t> zero_payload(payload_bytes, 0);
-      std::vector<size_t> unresolved;
-      for (const size_t pos : missing) {
-        std::vector<size_t> present_indices;
-        std::vector<std::vector<uint8_t>> present_storage;
-        for (size_t i = 0; i < group_info; ++i) {
-          if (i == my_offset) {
-            continue;
-          }
-          const size_t pt = grp * group_info + i;
-          if (pt >= info_tracks) {
-            present_indices.push_back(i);
-            present_storage.push_back(zero_payload);
-            continue;
-          }
-          auto shard = reader.DecodeSector(
-              damaged, {static_cast<int>(pt), static_cast<int>(pos)}, rng);
-          if (shard) {
-            present_indices.push_back(i);
-            present_storage.push_back(std::move(*shard));
-          }
-        }
-        for (size_t r = 0; r < group_red; ++r) {
-          const size_t pt = info_tracks + grp * group_red + r;
-          auto shard = reader.DecodeSector(
-              damaged, {static_cast<int>(pt), static_cast<int>(pos)}, rng);
-          if (shard) {
-            present_indices.push_back(group_info + r);
-            present_storage.push_back(std::move(*shard));
-          }
-        }
-        std::vector<std::span<const uint8_t>> present;
-        for (auto& p : present_storage) {
-          present.emplace_back(p);
-        }
-        std::vector<uint8_t> recovered(payload_bytes);
-        std::span<uint8_t> view(recovered);
-        const std::vector<size_t> want = {my_offset};
-        if (plane_->large_group_codec().Reconstruct(
-                present_indices, present, want,
-                std::span<const std::span<uint8_t>>(&view, 1),
-                plane_->thread_pool())) {
-          decoded[pos] = std::move(recovered);
-          outcome.ledger.Add(RepairTier::kLargeGroup, 1);
-        } else {
-          unresolved.push_back(pos);
-        }
-      }
-      missing = std::move(unresolved);
-    }
+    outcome.ledger.Add(RepairTier::kLdpcRetry, stats.ldpc_retry_recoveries);
+    outcome.ledger.Add(RepairTier::kTrackNc, stats.track_nc_recoveries);
+    outcome.ledger.Add(RepairTier::kLargeGroup, stats.large_nc_recoveries);
+    outcome.ledger.detected += stats.ldpc_retry_recoveries + stats.track_nc_recoveries +
+                               stats.large_nc_recoveries + missing.size();
 
     // Tier 3: rebuild the whole track from the 16+3 platter set.
     if (!missing.empty() && set_codec != nullptr) {

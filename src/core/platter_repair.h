@@ -7,8 +7,10 @@
 //   tier 2  large group    — NC across the platter's track groups;
 //   tier 3  platter set    — 16+3 GF(2^16) rebuild from set peers.
 //
-// Every detected information-sector failure is attributed to exactly one tier
-// (or to `unrecoverable`), so the outcome ledger conserves. When everything is
+// Tiers 0-2 run inside PlatterReader's track read; the repairer attributes
+// what it recovered and runs tier 3 itself. Every detected information-sector
+// failure is attributed to exactly one tier (or to `unrecoverable`), so the
+// outcome ledger conserves. When everything is
 // recovered, the platter is rewritten through the ordinary write pipeline
 // (files reassembled from the repaired payload grid -> PlatterWriter), which is
 // how the library replaces decayed media: glass cannot be patched in place.

@@ -286,6 +286,26 @@ void SilicaService::SetTelemetry(Telemetry* telemetry) {
       &telemetry->metrics.GetCounter("service_batch_reads_total");
 }
 
+SilicaService::SetPeers SilicaService::GatherSetPeers(
+    const std::vector<uint64_t>& members, uint64_t self) const {
+  SetPeers peers;
+  for (uint64_t id : members) {
+    const auto& member = platters_.at(id);
+    if (id == self || member.unavailable) {
+      continue;
+    }
+    if (member.is_redundancy) {
+      peers.redundancy.push_back(&member.written.platter);
+      peers.redundancy_indices.push_back(member.index_in_set -
+                                         static_cast<size_t>(config_.platter_set.info));
+    } else {
+      peers.info.push_back(&member.written.platter);
+      peers.info_indices.push_back(member.index_in_set);
+    }
+  }
+  return peers;
+}
+
 std::optional<std::vector<uint8_t>> SilicaService::ReadViaRecovery(
     const FileVersion& version) {
   const auto& stored = platters_.at(version.platter_id);
@@ -293,26 +313,7 @@ std::optional<std::vector<uint8_t>> SilicaService::ReadViaRecovery(
   if (set_it == sets_.end()) {
     return std::nullopt;  // platter predates any completed set
   }
-  const auto& members = set_it->second;
-
-  std::vector<const GlassPlatter*> avail_info;
-  std::vector<size_t> avail_info_idx;
-  std::vector<const GlassPlatter*> avail_red;
-  std::vector<size_t> avail_red_idx;
-  for (uint64_t id : members) {
-    const auto& member = platters_.at(id);
-    if (member.unavailable) {
-      continue;
-    }
-    if (member.is_redundancy) {
-      avail_red.push_back(&member.written.platter);
-      avail_red_idx.push_back(member.index_in_set -
-                              static_cast<size_t>(config_.platter_set.info));
-    } else {
-      avail_info.push_back(&member.written.platter);
-      avail_info_idx.push_back(member.index_in_set);
-    }
-  }
+  const SetPeers peers = GatherSetPeers(set_it->second, version.platter_id);
 
   // Recover the tracks the file spans, then slice out its payload bytes.
   const auto& g = plane_.geometry();
@@ -329,7 +330,7 @@ std::optional<std::vector<uint8_t>> SilicaService::ReadViaRecovery(
         SerpentineSectorAddress(g, version.start_sector_index + s);
     if (addr.track != cached_track) {
       auto recovered = set_codec_.RecoverTrack(
-          avail_info, avail_info_idx, avail_red, avail_red_idx,
+          peers.info, peers.info_indices, peers.redundancy, peers.redundancy_indices,
           stored.index_in_set, addr.track, rng_);
       if (!recovered) {
         return std::nullopt;
@@ -385,39 +386,21 @@ std::optional<SilicaService::ScrubResult> SilicaService::ScrubPlatter(
     return result;  // healthy glass; nothing to escalate
   }
 
-  // Gather the readable set peers (same split as ReadViaRecovery). Redundancy
-  // platters hold no customer payloads, so they repair on-platter only.
+  // Redundancy platters hold no customer payloads, so they repair on-platter
+  // only.
   const PlatterSetCodec* codec = nullptr;
-  std::vector<const GlassPlatter*> avail_info;
-  std::vector<size_t> avail_info_idx;
-  std::vector<const GlassPlatter*> avail_red;
-  std::vector<size_t> avail_red_idx;
+  SetPeers peers;
   const auto set_it = sets_.find(stored.set_id);
   if (!stored.is_redundancy && set_it != sets_.end()) {
     codec = &set_codec_;
-    for (uint64_t id : set_it->second) {
-      if (id == platter_id) {
-        continue;
-      }
-      const auto& member = platters_.at(id);
-      if (member.unavailable) {
-        continue;
-      }
-      if (member.is_redundancy) {
-        avail_red.push_back(&member.written.platter);
-        avail_red_idx.push_back(member.index_in_set -
-                                static_cast<size_t>(config_.platter_set.info));
-      } else {
-        avail_info.push_back(&member.written.platter);
-        avail_info_idx.push_back(member.index_in_set);
-      }
-    }
+    peers = GatherSetPeers(set_it->second, platter_id);
   }
 
   PlatterRepairer repairer(plane_);
   PlatterRepairOutcome outcome =
-      repairer.Repair(stored.written.platter, codec, avail_info, avail_info_idx,
-                      avail_red, avail_red_idx, stored.index_in_set, rng_);
+      repairer.Repair(stored.written.platter, codec, peers.info, peers.info_indices,
+                      peers.redundancy, peers.redundancy_indices, stored.index_in_set,
+                      rng_);
   result.ledger = outcome.ledger;
   result.data_lost = !outcome.data_intact;
   if (outcome.rewritten) {

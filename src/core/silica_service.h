@@ -35,9 +35,8 @@ struct ServiceConfig {
   DataPlaneConfig data_plane;
   PlatterSetConfig platter_set{4, 2};  // small sets keep examples fast
   uint64_t seed = 1;
-  // Worker threads for per-sector encode/decode. 1 keeps the exact serial code
-  // path (byte-identical output to the unthreaded build); higher values fan
-  // sector work across an owned ThreadPool.
+  // Worker threads for per-sector encode/decode. Higher values fan sector work
+  // across an owned ThreadPool; output is the same at any count.
   int threads = 1;
   // Physical media-decay law used by AgePlatter (per platter-year).
   MediaAgingParams aging;
@@ -137,6 +136,16 @@ class SilicaService {
     bool is_redundancy = false;
     bool unavailable = false;
   };
+
+  // The available members of a set other than `self`, split into information
+  // and redundancy platters with their in-set indices, as RecoverTrack takes them.
+  struct SetPeers {
+    std::vector<const GlassPlatter*> info;
+    std::vector<size_t> info_indices;
+    std::vector<const GlassPlatter*> redundancy;
+    std::vector<size_t> redundancy_indices;
+  };
+  SetPeers GatherSetPeers(const std::vector<uint64_t>& members, uint64_t self) const;
 
   std::optional<std::vector<uint8_t>> ReadViaRecovery(const FileVersion& version);
 

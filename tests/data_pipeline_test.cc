@@ -2,6 +2,8 @@
 
 #include <limits>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "core/data_pipeline.h"
 #include "ecc/gf65536.h"
@@ -346,6 +348,51 @@ TEST_F(DataPipelineTest, CrossPlatterFailsBeyondRedundancy) {
   EXPECT_FALSE(set_codec.RecoverTrack(avail_info, avail_info_idx, avail_red,
                                       avail_red_idx, 3, 0, rng)
                    .has_value());
+}
+
+// Expects RecoverTrack to throw std::invalid_argument naming `argument`. It
+// checks its arguments before it reads any glass, so blank platters stand in
+// for a 4+2 set's members.
+void ExpectRecoverTrackRejects(const DataPlane& plane,
+                               const std::vector<size_t>& info_indices,
+                               const std::vector<size_t>& redundancy_indices,
+                               size_t missing_info_index, size_t info_platters,
+                               const std::string& argument) {
+  const GlassPlatter blank(plane.geometry(), 1);
+  const std::vector<const GlassPlatter*> info(info_platters, &blank);
+  const std::vector<const GlassPlatter*> redundancy(2, &blank);
+  const PlatterSetCodec codec(plane, {.info = 4, .redundancy = 2});
+  Rng rng(1);
+  try {
+    codec.RecoverTrack(info, info_indices, redundancy, redundancy_indices,
+                       missing_info_index, 0, rng);
+    ADD_FAILURE() << "accepted a bad " << argument;
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(argument), std::string::npos) << e.what();
+  }
+}
+
+TEST_F(DataPipelineTest, RecoverTrackRejectsIndexVectorSizeMismatch) {
+  ExpectRecoverTrackRejects(Plane(), {0, 1}, {0, 1}, 3, 3,
+                            "available_info and available_info_indices differ in size");
+  ExpectRecoverTrackRejects(
+      Plane(), {0, 1, 2}, {0}, 3, 3,
+      "available_redundancy and available_redundancy_indices differ in size");
+}
+
+TEST_F(DataPipelineTest, RecoverTrackRejectsInfoIndexOutOfSet) {
+  ExpectRecoverTrackRejects(Plane(), {0, 1, 4}, {0, 1}, 3, 3,
+                            "available_info_indices entry >= set.info");
+}
+
+TEST_F(DataPipelineTest, RecoverTrackRejectsRedundancyIndexOutOfSet) {
+  ExpectRecoverTrackRejects(Plane(), {0, 1, 2}, {0, 2}, 3, 3,
+                            "available_redundancy_indices entry >= set.redundancy");
+}
+
+TEST_F(DataPipelineTest, RecoverTrackRejectsMissingIndexOutOfSet) {
+  ExpectRecoverTrackRejects(Plane(), {0, 1, 2}, {0, 1}, 4, 3,
+                            "missing_info_index >= set.info");
 }
 
 TEST_F(DataPipelineTest, OverfullPlatterRejected) {

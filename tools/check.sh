@@ -112,10 +112,13 @@ print("ok: %d submitted, %d rejected, %.2f reads/mount, steady Jain %.3f" % (
     report["fairness"]["jain_goodput_steady"]))
 '
 
-echo "== smoke: SIMD kernel tiers (differential checksums, JSON) =="
-./build/bench/bench_decode_stack --json --threads=1 | python3 -c '
+echo "== smoke: SIMD kernel tiers and thread-count invisibility (checksums, JSON) =="
+./build/bench/bench_decode_stack --json --threads=4 | python3 -c '
 import json, sys
 report = json.load(sys.stdin)
+runs = {r["threads"]: r["payload_checksum"] for r in report["runs"]}
+assert sorted(runs) == [1, 4], report["runs"]
+assert runs[1] == runs[4], f"decoded payloads differ between 1 and 4 threads: {runs}"
 simd = report["simd"]
 tiers = {t["tier"]: t for t in simd["tiers"]}
 assert "scalar" in tiers, simd
@@ -123,7 +126,8 @@ assert simd["bit_identical"], f"SIMD tiers disagree with scalar: {simd}"
 for tier in tiers.values():
     assert tier["checksum"] == tiers["scalar"]["checksum"], simd
     assert tier["demap_sectors_per_second"] > 0, f"demap stage did not run: {tier}"
-print("ok: tiers " + ", ".join(sorted(tiers)) +
+print("ok: payload checksum %s at 1 and 4 threads; tiers " % runs[1] +
+      ", ".join(sorted(tiers)) +
       " bit-identical (GF, recovery, LDPC, demap); best %s at %.2fx recovery "
       "speedup, demap %s" % (
           simd["best_tier"], simd["simd_speedup"],
