@@ -10,7 +10,7 @@
 // --simd=auto|scalar|avx2|neon forces the kernel tier for the full-stack run.
 // --json emits one machine-readable object on stdout (sectors/s and an FNV-1a
 // payload checksum per worker count, speedup vs 1 thread, and a per-SIMD-tier kernel-stage section — GF(256),
-// recovery, LDPC and the fused soft demap — with a bit-identity checksum) for
+// recovery, LDPC, the fused soft demap and the read channel's noise — with a bit-identity checksum) for
 // BENCH_decode.json trajectories; see tools/compare_runs.py for the diff rules.
 #include <chrono>
 #include <cstdio>
@@ -103,6 +103,7 @@ struct TierRun {
   double recovery_sectors_per_second = 0.0;  // Cauchy/NC shard recovery rate
   double ldpc_decodes_per_second = 0.0;      // min-sum decodes of the 50-draw corpus
   double demap_sectors_per_second = 0.0;     // fused soft demap, image -> LLRs
+  double noise_sectors_per_second = 0.0;     // read channel, symbols -> image
   uint64_t checksum = 0;                     // FNV-1a over all stage outputs
 };
 
@@ -281,6 +282,42 @@ TierRun MeasureKernelStage(SimdMode mode) {
     }
   }
 
+  // Stage 5: the read channel (ReadChannel::ReadSymbols) imaging data-plane
+  // sized sectors, half of them on aged glass: bulk draws plus the Box-Muller
+  // kernel. Every measurement byte folds into the checksum, pinning the
+  // gaussian_fill slot.
+  {
+    constexpr int kSectors = 16;
+    constexpr int kPasses = 8;
+    const MediaGeometry g = MediaGeometry::DataPlaneScale();
+    const Constellation constellation(g.bits_per_voxel);
+    Rng rng(17);
+    std::vector<std::vector<uint16_t>> sectors(kSectors);
+    for (auto& symbols : sectors) {
+      symbols.resize(static_cast<size_t>(g.voxels_per_sector()));
+      for (auto& sym : symbols) {
+        sym = static_cast<uint16_t>(rng.UniformInt(0, constellation.num_symbols() - 1));
+      }
+    }
+    const auto start = std::chrono::steady_clock::now();
+    for (int pass = 0; pass < kPasses; ++pass) {
+      for (int i = 0; i < kSectors; ++i) {
+        const ReadChannel reader(ReadChannelParams{}.Aged(i % 2 == 0 ? 0.0 : 1.88));
+        const auto image = reader.ReadSymbols(
+            constellation, sectors[static_cast<size_t>(i)], g.sector_rows,
+            g.sector_cols, rng);
+        if (pass == 0) {
+          checksum = Fnv1a(reinterpret_cast<const uint8_t*>(image.data()),
+                           image.size() * sizeof(VoxelObservable), checksum);
+        }
+      }
+    }
+    const double secs = Seconds(start);
+    if (secs > 0.0) {
+      run.noise_sectors_per_second = static_cast<double>(kSectors) * kPasses / secs;
+    }
+  }
+
   run.checksum = checksum;
   return run;
 }
@@ -411,6 +448,7 @@ int Run(int threads, bool json, SimdMode simd) {
           .Field("recovery_sectors_per_second", t.recovery_sectors_per_second)
           .Field("ldpc_decodes_per_second", t.ldpc_decodes_per_second)
           .Field("demap_sectors_per_second", t.demap_sectors_per_second)
+          .Field("noise_sectors_per_second", t.noise_sectors_per_second)
           .Field("checksum", Hex(t.checksum))
           .Str();
     };
@@ -435,13 +473,14 @@ int Run(int threads, bool json, SimdMode simd) {
   }
 
   Header("Decode stack: SIMD kernel tiers (single thread)");
-  std::printf("%-10s %14s %22s %18s %18s %18s\n", "tier", "gf256 GB/s",
+  std::printf("%-10s %14s %22s %18s %18s %18s %18s\n", "tier", "gf256 GB/s",
               "recovery sectors/s", "ldpc decodes/s", "demap sectors/s",
-              "checksum");
+              "noise sectors/s", "checksum");
   for (const TierRun& t : tier_runs) {
-    std::printf("%-10s %14.2f %22.1f %18.1f %18.1f   %016llx\n", t.tier.c_str(),
-                t.gf256_gbps, t.recovery_sectors_per_second,
+    std::printf("%-10s %14.2f %22.1f %18.1f %18.1f %18.1f   %016llx\n",
+                t.tier.c_str(), t.gf256_gbps, t.recovery_sectors_per_second,
                 t.ldpc_decodes_per_second, t.demap_sectors_per_second,
+                t.noise_sectors_per_second,
                 static_cast<unsigned long long>(t.checksum));
   }
   std::printf("best tier %s: %.2fx recovery speedup vs scalar; tiers %s\n",

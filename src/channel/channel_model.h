@@ -12,6 +12,7 @@
 #ifndef SILICA_CHANNEL_CHANNEL_MODEL_H_
 #define SILICA_CHANNEL_CHANNEL_MODEL_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -77,7 +78,8 @@ class ReadChannel {
  public:
   explicit ReadChannel(ReadChannelParams params) : params_(params) {}
 
-  // Produces one measurement per voxel.
+  // Produces one measurement per voxel. Consumes exactly three NextU64 draws
+  // per voxel and leaves the stream's cached normal untouched (DESIGN.md §11).
   std::vector<VoxelObservable> ReadSector(const AnalogSector& sector, Rng& rng) const;
 
   // The same measurement of stored symbols, written as `constellation` maps
@@ -94,6 +96,16 @@ class ReadChannel {
  private:
   ReadChannelParams params_;
 };
+
+// The read channel's Gaussian noise: Box-Muller pairs over raw Rng draws,
+// normals[2i] = r cos(theta) and normals[2i + 1] = r sin(theta) from
+// u1 = draws[i * stride] and u2 = draws[i * stride + 1] (the gaussian_fill
+// contract of ecc/simd/gf256_kernels.h). GaussianFillReference is the scalar
+// reference every SIMD tier reproduces bit for bit; GaussianFill runs the
+// active tier's kernel.
+void GaussianFillReference(const uint64_t* draws, size_t stride, size_t n,
+                           double* normals);
+void GaussianFill(const uint64_t* draws, size_t stride, size_t n, double* normals);
 
 }  // namespace silica
 

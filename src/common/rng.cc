@@ -46,6 +46,28 @@ uint64_t Rng::NextU64() {
   return result;
 }
 
+void Rng::FillU64(uint64_t* out, size_t n) {
+  // NextU64's step on local copies, so the state stays in registers.
+  uint64_t s0 = s_[0];
+  uint64_t s1 = s_[1];
+  uint64_t s2 = s_[2];
+  uint64_t s3 = s_[3];
+  for (size_t i = 0; i < n; ++i) {
+    out[i] = Rotl(s1 * 5, 7) * 9;
+    const uint64_t t = s1 << 17;
+    s2 ^= s0;
+    s3 ^= s1;
+    s1 ^= s2;
+    s0 ^= s3;
+    s2 ^= t;
+    s3 = Rotl(s3, 45);
+  }
+  s_[0] = s0;
+  s_[1] = s1;
+  s_[2] = s2;
+  s_[3] = s3;
+}
+
 double Rng::NextDouble() {
   // 53 high bits -> uniform double in [0, 1).
   return static_cast<double>(NextU64() >> 11) * 0x1.0p-53;

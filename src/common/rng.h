@@ -27,6 +27,10 @@ class Rng {
 
   uint64_t NextU64();
 
+  // out[0..n) = the next n NextU64() values, leaving the same end state; the
+  // cached Box-Muller variate is neither read nor written.
+  void FillU64(uint64_t* out, size_t n);
+
   // Uniform in [0, 1).
   double NextDouble();
 

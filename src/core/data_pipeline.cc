@@ -9,6 +9,7 @@
 #include <stdexcept>
 
 #include "common/thread_pool.h"
+#include "ecc/gf65536.h"
 #include "telemetry/telemetry.h"
 
 namespace silica {
@@ -500,30 +501,28 @@ std::vector<WrittenPlatter> PlatterSetCodec::EncodeRedundancyPlatters(
   }
 
   // One GF(2^16) group per track: all sectors of that track across the set.
-  std::vector<std::vector<uint16_t>> red_words(
-      static_cast<size_t>(set_.redundancy) * sectors);
-  for (size_t t = 0; t < all_tracks; ++t) {
-    for (auto& w : red_words) {
-      w.assign(words, 0);
+  // Every information shard becomes words once; then each (track, redundancy
+  // shard) output sums its I_p * S inputs on its own, so the outputs fan out
+  // across the pool in one pass. GF(2^16) sums are exact and order-free, so
+  // the bytes equal the streaming EncodeAccumulate loop's.
+  const size_t info_shards = info_platters.size() * sectors;
+  const size_t red_shards = static_cast<size_t>(set_.redundancy) * sectors;
+  std::vector<std::vector<uint16_t>> info_words(all_tracks * info_shards);
+  ParallelFor(plane_->thread_pool(), info_words.size(), [&](size_t i) {
+    const size_t t = i / info_shards;
+    const size_t col = i % info_shards;
+    info_words[i] = BytesToWords(info_platters[col / sectors]->payloads[t][col % sectors]);
+  });
+  ParallelFor(plane_->thread_pool(), all_tracks * red_shards, [&](size_t i) {
+    const size_t t = i / red_shards;
+    const size_t row = i % red_shards;
+    std::vector<uint16_t> acc(words, 0);
+    for (size_t col = 0; col < info_shards; ++col) {
+      Gf65536::MulAccumulate(acc, info_words[t * info_shards + col],
+                             codec_.Coefficient(row, col));
     }
-    std::vector<std::span<uint16_t>> red_views(red_words.size());
-    for (size_t i = 0; i < red_words.size(); ++i) {
-      red_views[i] = red_words[i];
-    }
-    for (size_t p = 0; p < info_platters.size(); ++p) {
-      for (size_t s = 0; s < sectors; ++s) {
-        const auto shard = BytesToWords(info_platters[p]->payloads[t][s]);
-        codec_.EncodeAccumulate(p * sectors + s, shard, red_views,
-                                plane_->thread_pool());
-      }
-    }
-    for (int r = 0; r < set_.redundancy; ++r) {
-      for (size_t s = 0; s < sectors; ++s) {
-        out[static_cast<size_t>(r)].payloads[t][s] = WordsToBytes(
-            red_words[static_cast<size_t>(r) * sectors + s], payload_bytes);
-      }
-    }
-  }
+    out[row / sectors].payloads[t][row % sectors] = WordsToBytes(acc, payload_bytes);
+  });
 
   // Write the redundancy platters to glass.
   for (int r = 0; r < set_.redundancy; ++r) {
@@ -622,10 +621,13 @@ std::optional<std::vector<std::vector<uint8_t>>> PlatterSetCodec::RecoverTrack(
     return std::nullopt;  // caller error: the "missing" platter was provided
   }
 
-  // Decode surviving redundancy shards.
+  // Decode surviving redundancy shards, in platter order, only until there
+  // are as many as unknowns (a square system); a platter whose track is
+  // unreadable yields none and the next one is read instead.
   std::vector<size_t> red_indices;
   std::vector<std::vector<uint16_t>> red_words;
-  for (size_t i = 0; i < available_redundancy.size(); ++i) {
+  for (size_t i = 0;
+       i < available_redundancy.size() && red_indices.size() < missing.size(); ++i) {
     const size_t r = available_redundancy_indices[i];
     auto payloads = AllTrackPayloads(*available_redundancy[i], track, rng, stats);
     if (!payloads) {
@@ -639,9 +641,8 @@ std::optional<std::vector<std::vector<uint8_t>>> PlatterSetCodec::RecoverTrack(
   if (red_indices.size() < missing.size()) {
     return std::nullopt;  // set lost beyond R_p tolerance
   }
-  // Use only as many redundancy shards as unknowns (square system).
-  red_indices.resize(missing.size());
-  red_words.resize(missing.size());
+  // Every redundancy platter adds S shards and `missing` is a multiple of S,
+  // so the system is already square.
 
   std::vector<std::span<uint16_t>> info_views(info_words.size());
   for (size_t i = 0; i < info_words.size(); ++i) {

@@ -239,7 +239,9 @@ class PlatterSetCodec {
   // Reconstructs the information-sector payloads of `track` on the missing platter
   // (identified by its index in the set, 0-based among information platters) from
   // the other platters. Requires at least I_p readable platters among the rest.
-  // `stats`, when given, accumulates the peer reads this recovery issued plus
+  // Redundancy platters are read in the given order and only until they cover
+  // the unknown shards; one whose track is unreadable is skipped. `stats`, when
+  // given, accumulates the peer reads this recovery issued plus
   // platter_set_recoveries for the sectors rebuilt (so callers outside
   // PlatterVerifier still feed the plane's stage counters). Throws
   // std::invalid_argument if a platter vector and its index vector differ in

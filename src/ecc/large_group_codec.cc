@@ -24,13 +24,13 @@ uint16_t LargeGroupCodec::Coefficient(size_t redundancy_row, size_t info_col) co
 
 void LargeGroupCodec::EncodeAccumulate(
     size_t info_index, std::span<const uint16_t> shard,
-    std::span<const std::span<uint16_t>> redundancy, ThreadPool* pool) const {
+    std::span<const std::span<uint16_t>> redundancy) const {
   if (info_index >= info_ || redundancy.size() != redundancy_) {
     throw std::invalid_argument("LargeGroupCodec::EncodeAccumulate: bad arguments");
   }
-  ParallelFor(pool, redundancy_, [&](size_t r) {
+  for (size_t r = 0; r < redundancy_; ++r) {
     Gf65536::MulAccumulate(redundancy[r], shard, Coefficient(r, info_index));
-  });
+  }
 }
 
 bool LargeGroupCodec::RecoverInfo(

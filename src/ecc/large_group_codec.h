@@ -28,11 +28,8 @@ class LargeGroupCodec {
 
   // redundancy[r] += coeff(r, info_index) * shard, for all r. Streaming encode:
   // call once per information shard over zero-initialized redundancy buffers.
-  // A non-null `pool` fans the independent redundancy rows across its workers;
-  // GF(2^16) arithmetic is exact, so the result is thread-count invariant.
   void EncodeAccumulate(size_t info_index, std::span<const uint16_t> shard,
-                        std::span<const std::span<uint16_t>> redundancy,
-                        ThreadPool* pool = nullptr) const;
+                        std::span<const std::span<uint16_t>> redundancy) const;
 
   // Recovers missing information shards.
   //

@@ -1,5 +1,6 @@
 // x86-64 AVX2 tier: shuffled-nibble-lookup GF kernels, the vectorized LDPC
-// min-sum check-node update, and the fused soft demapper.
+// min-sum check-node update, the fused soft demapper and the read channel's
+// Box-Muller noise.
 //
 // The GF(256) trick (classic SSSE3 technique, run at AVX2 width): a product
 // c*x splits over the nibbles of x, c*x = c*(x & 0xF) ^ c*(x >> 4 << 4), so two
@@ -31,7 +32,7 @@
 namespace silica {
 namespace {
 
-// Carry-less field multiplies used only to build lookup tables (kept local so
+// Carry-less field multiply used only to build lookup tables (kept local so
 // table construction has no dependency on the log/exp statics in gf256.cc).
 uint8_t GfMul8(uint8_t a, uint8_t b) {
   uint8_t r = 0;
@@ -43,22 +44,6 @@ uint8_t GfMul8(uint8_t a, uint8_t b) {
     a = static_cast<uint8_t>(a << 1);
     if (carry) {
       a ^= 0x1D;  // x^8 + x^4 + x^3 + x^2 + 1 with the x^8 bit dropped
-    }
-    b >>= 1;
-  }
-  return r;
-}
-
-uint16_t GfMul16(uint16_t a, uint16_t b) {
-  uint32_t acc = a;
-  uint16_t r = 0;
-  while (b != 0) {
-    if (b & 1) {
-      r ^= static_cast<uint16_t>(acc);
-    }
-    acc <<= 1;
-    if (acc & 0x10000) {
-      acc ^= 0x1100B;  // x^16 + x^12 + x^3 + x + 1
     }
     b >>= 1;
   }
@@ -153,20 +138,32 @@ void Avx2ScaleInPlace(uint8_t* data, size_t len, uint8_t coeff) {
   }
 }
 
-// GF(2^16): product = XOR over the four nibbles of the word; per-call tables
-// (64 scalar multiplies) amortize over shard-length buffers. Table k holds
+// GF(2^16): product = XOR over the four nibbles of the word. Table k holds
 // coeff * (n << 4k), split into a low-byte and a high-byte shuffle plane so
-// PSHUFB can produce 16-bit products from byte lookups.
+// PSHUFB can produce 16-bit products from byte lookups. The tables are built
+// per call from the 16 basis products coeff * x^i (one doubling each): entry n
+// of table k is entry n-without-its-lowest-bit XOR that bit's basis product.
 void Avx2MulAccumulate16(uint16_t* dst, const uint16_t* src, size_t len,
                          uint16_t coeff) {
+  uint16_t basis[16];
+  basis[0] = coeff;
+  for (int i = 1; i < 16; ++i) {
+    const uint16_t prev = basis[i - 1];
+    // x^16 = x^12 + x^3 + x + 1 (the field polynomial 0x1100B).
+    basis[i] = static_cast<uint16_t>((prev << 1) ^ ((prev & 0x8000) != 0 ? 0x100B : 0));
+  }
   alignas(16) uint8_t lo8[4][16];
   alignas(16) uint8_t hi8[4][16];
   for (int k = 0; k < 4; ++k) {
+    uint16_t table[16];
+    table[0] = 0;
+    for (unsigned n = 1; n < 16; ++n) {
+      table[n] = static_cast<uint16_t>(table[n & (n - 1)] ^
+                                       basis[4 * k + std::countr_zero(n)]);
+    }
     for (int n = 0; n < 16; ++n) {
-      const uint16_t p =
-          GfMul16(coeff, static_cast<uint16_t>(n << (4 * k)));
-      lo8[k][n] = static_cast<uint8_t>(p & 0xFF);
-      hi8[k][n] = static_cast<uint8_t>(p >> 8);
+      lo8[k][n] = static_cast<uint8_t>(table[n] & 0xFF);
+      hi8[k][n] = static_cast<uint8_t>(table[n] >> 8);
     }
   }
   __m256i tlo[4];
@@ -557,6 +554,140 @@ void Avx2SoftDemap(const SoftDemapTables& t, const double* observables,
   }
 }
 
+// --- Box-Muller noise (the read channel's gaussian_fill) --------------------
+//
+// Four pairs per block, one per 64-bit lane, each performing exactly the IEEE
+// double operations of GaussianFillReference in channel/channel_model.cc, in
+// its order and without FMA. Integer-to-double conversions go through magic
+// exponents, which is exact for every value that occurs (< 2^53).
+
+// Exact conversion of lanes below 2^52.
+__m256d SmallToDouble(__m256i v) {
+  const __m256d magic = _mm256_set1_pd(0x1.0p52);
+  return _mm256_sub_pd(
+      _mm256_castsi256_pd(_mm256_or_si256(v, _mm256_castpd_si256(magic))), magic);
+}
+
+// Exact conversion of lanes below 2^53: hi * 2^32 and lo convert separately
+// through the 2^84 and 2^52 exponents, and their sum is representable.
+__m256d U53ToDouble(__m256i v) {
+  const __m256d magic_hi = _mm256_set1_pd(0x1.0p84);
+  const __m256d magic_lo = _mm256_set1_pd(0x1.0p52);
+  const __m256i hi =
+      _mm256_or_si256(_mm256_srli_epi64(v, 32), _mm256_castpd_si256(magic_hi));
+  const __m256i lo = _mm256_blend_epi32(v, _mm256_castpd_si256(magic_lo), 0xAA);
+  const __m256d h = _mm256_sub_pd(_mm256_castsi256_pd(hi),
+                                  _mm256_set1_pd(0x1.0p84 + 0x1.0p52));
+  return _mm256_add_pd(h, _mm256_castsi256_pd(lo));
+}
+
+[[gnu::always_inline]] inline void GaussianBlock(__m256i u1_bits, __m256i u2_bits,
+                                                 double* normals) {
+  const __m256d one = _mm256_set1_pd(1.0);
+  const __m256i ione = _mm256_set1_epi64x(1);
+
+  // r = sqrt(-2 log u1): split u1 into 2^e * m, then Cephes log(1 + x).
+  const __m256d k = _mm256_max_pd(U53ToDouble(_mm256_srli_epi64(u1_bits, 11)), one);
+  const __m256i bits =
+      _mm256_castpd_si256(_mm256_mul_pd(k, _mm256_set1_pd(gaussian::kU53Scale)));
+  __m256d e = _mm256_sub_pd(SmallToDouble(_mm256_srli_epi64(bits, 52)),
+                            _mm256_set1_pd(1022.0));
+  const __m256d m = _mm256_castsi256_pd(_mm256_or_si256(
+      _mm256_and_si256(bits, _mm256_set1_epi64x(gaussian::kMantissaMask)),
+      _mm256_set1_epi64x(gaussian::kHalfExponent)));
+  const __m256d small =
+      _mm256_cmp_pd(m, _mm256_set1_pd(gaussian::kSqrtHalf), _CMP_LT_OQ);
+  e = _mm256_blendv_pd(e, _mm256_sub_pd(e, one), small);
+  const __m256d x = _mm256_blendv_pd(_mm256_sub_pd(m, one),
+                                     _mm256_sub_pd(_mm256_add_pd(m, m), one), small);
+  const __m256d z = _mm256_mul_pd(x, x);
+  __m256d p = _mm256_set1_pd(gaussian::kLogP[0]);
+  for (int i = 1; i < 6; ++i) {
+    p = _mm256_add_pd(_mm256_mul_pd(p, x), _mm256_set1_pd(gaussian::kLogP[i]));
+  }
+  __m256d q = _mm256_add_pd(x, _mm256_set1_pd(gaussian::kLogQ[0]));
+  for (int i = 1; i < 5; ++i) {
+    q = _mm256_add_pd(_mm256_mul_pd(q, x), _mm256_set1_pd(gaussian::kLogQ[i]));
+  }
+  __m256d y = _mm256_mul_pd(x, _mm256_div_pd(_mm256_mul_pd(z, p), q));
+  y = _mm256_add_pd(y, _mm256_mul_pd(e, _mm256_set1_pd(gaussian::kLn2Lo)));
+  y = _mm256_sub_pd(y, _mm256_mul_pd(_mm256_set1_pd(0.5), z));
+  const __m256d log_u1 = _mm256_add_pd(
+      _mm256_add_pd(x, y), _mm256_mul_pd(e, _mm256_set1_pd(gaussian::kLn2Hi)));
+  const __m256d r =
+      _mm256_sqrt_pd(_mm256_mul_pd(_mm256_set1_pd(-2.0), log_u1));
+
+  // theta = (octant + f) * pi/4: the polynomials at f * pi/4, reflected on odd
+  // octants, then swapped and negated by octant.
+  const __m256i octant = _mm256_srli_epi64(u2_bits, 61);
+  const __m256d f = _mm256_mul_pd(
+      SmallToDouble(_mm256_and_si256(_mm256_srli_epi64(u2_bits, 11),
+                                     _mm256_set1_epi64x(gaussian::kFractionMask))),
+      _mm256_set1_pd(gaussian::kFractionScale));
+  const __m256d odd = _mm256_castsi256_pd(
+      _mm256_cmpeq_epi64(_mm256_and_si256(octant, ione), ione));
+  const __m256d a = _mm256_blendv_pd(f, _mm256_sub_pd(one, f), odd);
+  const __m256d xa = _mm256_mul_pd(a, _mm256_set1_pd(gaussian::kPiOver4));
+  const __m256d zz = _mm256_mul_pd(xa, xa);
+  __m256d ps = _mm256_set1_pd(gaussian::kSin[0]);
+  __m256d pc = _mm256_set1_pd(gaussian::kCos[0]);
+  for (int i = 1; i < 6; ++i) {
+    ps = _mm256_add_pd(_mm256_mul_pd(ps, zz), _mm256_set1_pd(gaussian::kSin[i]));
+    pc = _mm256_add_pd(_mm256_mul_pd(pc, zz), _mm256_set1_pd(gaussian::kCos[i]));
+  }
+  const __m256d s = _mm256_add_pd(xa, _mm256_mul_pd(xa, _mm256_mul_pd(zz, ps)));
+  const __m256d c = _mm256_add_pd(
+      _mm256_sub_pd(one, _mm256_mul_pd(_mm256_set1_pd(0.5), zz)),
+      _mm256_mul_pd(_mm256_mul_pd(zz, zz), pc));
+  const __m256d swap = _mm256_castsi256_pd(_mm256_cmpeq_epi64(
+      _mm256_and_si256(_mm256_xor_si256(octant, _mm256_srli_epi64(octant, 1)), ione),
+      ione));
+  // Octant bit 2 negates the sine; octants 2-5 negate the cosine. Bit 2 of the
+  // octant shifted left by 61 lands on the sign bit.
+  const __m256d sin_sign = _mm256_castsi256_pd(_mm256_slli_epi64(
+      _mm256_and_si256(octant, _mm256_set1_epi64x(4)), 61));
+  const __m256d cos_sign = _mm256_castsi256_pd(_mm256_slli_epi64(
+      _mm256_and_si256(_mm256_add_epi64(octant, _mm256_set1_epi64x(2)),
+                       _mm256_set1_epi64x(4)),
+      61));
+  const __m256d sin_v = _mm256_xor_pd(_mm256_blendv_pd(s, c, swap), sin_sign);
+  const __m256d cos_v = _mm256_xor_pd(_mm256_blendv_pd(c, s, swap), cos_sign);
+  const __m256d rc = _mm256_mul_pd(r, cos_v);
+  const __m256d rs = _mm256_mul_pd(r, sin_v);
+  // (rc0 rs0 rc2 rs2), (rc1 rs1 rc3 rs3) -> pairs 0-1 and 2-3 in order.
+  const __m256d lo = _mm256_unpacklo_pd(rc, rs);
+  const __m256d hi = _mm256_unpackhi_pd(rc, rs);
+  _mm256_storeu_pd(normals, _mm256_permute2f128_pd(lo, hi, 0x20));
+  _mm256_storeu_pd(normals + 4, _mm256_permute2f128_pd(lo, hi, 0x31));
+}
+
+void Avx2GaussianFill(const uint64_t* draws, size_t stride, size_t n,
+                      double* normals) {
+  size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    const uint64_t* d = draws + i * stride;
+    const auto at = [&](size_t k) { return static_cast<long long>(d[k]); };
+    GaussianBlock(
+        _mm256_setr_epi64x(at(0), at(stride), at(2 * stride), at(3 * stride)),
+        _mm256_setr_epi64x(at(1), at(stride + 1), at(2 * stride + 1),
+                           at(3 * stride + 1)),
+        normals + 2 * i);
+  }
+  if (i < n) {
+    // A short final block runs on zero-padded draws; lanes are independent.
+    alignas(32) uint64_t u1[4] = {};
+    alignas(32) uint64_t u2[4] = {};
+    alignas(32) double out[8];
+    for (size_t l = 0; i + l < n; ++l) {
+      u1[l] = draws[(i + l) * stride];
+      u2[l] = draws[(i + l) * stride + 1];
+    }
+    GaussianBlock(_mm256_load_si256(reinterpret_cast<const __m256i*>(u1)),
+                  _mm256_load_si256(reinterpret_cast<const __m256i*>(u2)), out);
+    std::copy(out, out + 2 * (n - i), normals + 2 * i);
+  }
+}
+
 }  // namespace
 
 const Gf256Kernels* Avx2Kernels() {
@@ -572,6 +703,7 @@ const Gf256Kernels* Avx2Kernels() {
       .xor_and_fold = &Avx2XorAndFold,
       .ldpc_check_node = &Avx2LdpcCheckNode,
       .soft_demap = &Avx2SoftDemap,
+      .gaussian_fill = &Avx2GaussianFill,
   };
   return &k;
 }

@@ -4,9 +4,10 @@
 // tight loops: GF(256) multiply-accumulate over sector-sized shards (network
 // coding, Cauchy matrix elimination), GF(2^16) multiply-accumulate (large-group
 // codec), the packed-64-bit parity fold of the systematic LDPC encoder, the
-// per-check min-sum update of the LDPC decoder, and the soft demap of a sector
-// image to bit LLRs. This header defines a vtable of those loops
-// (`Gf256Kernels`) with one implementation per dispatch tier:
+// per-check min-sum update of the LDPC decoder, the soft demap of a sector
+// image to bit LLRs, and the read channel's Box-Muller noise. This header
+// defines a vtable of those loops (`Gf256Kernels`) with one implementation per
+// dispatch tier:
 //
 //   * scalar — the portable reference, byte-for-byte the pre-SIMD code paths;
 //   * avx2   — x86-64 shuffled-nibble-lookup kernels (PSHUFB over per-coefficient
@@ -17,13 +18,14 @@
 // `--simd={auto,scalar,avx2,neon}` (threaded through ServiceConfig, silica_sim,
 // and the benches). The contract, enforced by tests/gf256_kernels_test.cc, is
 // that every tier is bit-identical to the scalar reference: GF arithmetic is
-// exact, and the float min-sum and demap kernels perform the same IEEE
-// operations in the same order, so vectorization never changes a single output
-// byte.
+// exact, and the floating-point min-sum, demap and Gaussian kernels perform the
+// same IEEE operations in the same order, so vectorization never changes a
+// single output byte.
 //
 // Optional entries (`mul_accumulate16`, `xor_and_fold`, `ldpc_check_node`,
-// `soft_demap`) may be null; callers fall back to their inline scalar loop, which
-// is the same code every tier falls back to, preserving cross-tier identity.
+// `soft_demap`, `gaussian_fill`) may be null; callers fall back to their inline
+// scalar loop, which is the same code every tier falls back to, preserving
+// cross-tier identity.
 #ifndef SILICA_ECC_SIMD_GF256_KERNELS_H_
 #define SILICA_ECC_SIMD_GF256_KERNELS_H_
 
@@ -81,6 +83,42 @@ inline constexpr float kLogQ[9] = {7.0376836292e-2f,  -1.1514610310e-1f,
                                    3.3333331174e-1f};
 }  // namespace demap
 
+// Shared constants of the read channel's Box-Muller kernel (the `gaussian_fill`
+// slot; the scalar reference is GaussianFillReference in
+// channel/channel_model.cc). Every tier evaluates the same double polynomials
+// with the same IEEE operations in the same order (no FMA).
+namespace gaussian {
+inline constexpr double kU53Scale = 0x1.0p-53;  // u1 = max(bits >> 11, 1) * 2^-53
+inline constexpr uint64_t kFractionMask = (uint64_t{1} << 50) - 1;
+inline constexpr double kFractionScale = 0x1.0p-50;
+inline constexpr uint64_t kMantissaMask = (uint64_t{1} << 52) - 1;
+inline constexpr uint64_t kHalfExponent = 0x3FE0000000000000ull;  // [0.5, 1)
+inline constexpr double kSqrtHalf = 0.70710678118654752440;
+inline constexpr double kLn2Hi = 0.693359375;  // e * kLn2Hi is exact
+inline constexpr double kLn2Lo = -2.121944400546905827679e-4;
+// log(1 + x) on sqrt(1/2) - 1 <= x < sqrt(2) - 1:
+// x - x^2/2 + x^3 * P(x) / Q(x), Q monic (Cephes log).
+inline constexpr double kLogP[6] = {
+    1.01875663804580931796e-4, 4.97494994976747001425e-1,
+    4.70579119878881725854e0,  1.44989225341610930846e1,
+    1.79368678507819816313e1,  7.70838733755885391666e0};
+inline constexpr double kLogQ[5] = {
+    1.12873587189167450590e1, 4.52279145837532221105e1,
+    8.29875266912776603211e1, 7.11544750618563894466e1,
+    2.31251620126765340583e1};
+inline constexpr double kPiOver4 = 0.78539816339744830962;
+// sin x = x + x * z * S(z) and cos x = 1 - z/2 + z^2 * C(z), z = x^2, on
+// |x| <= pi/4 (Cephes sin/cos).
+inline constexpr double kSin[6] = {
+    1.58962301576546568060e-10, -2.50507477628578072866e-8,
+    2.75573136213857245213e-6,  -1.98412698295895385996e-4,
+    8.33333333332211858878e-3,  -1.66666666666666307295e-1};
+inline constexpr double kCos[6] = {
+    -1.13585365213876817300e-11, 2.08757008419747316778e-9,
+    -2.75573141792967388112e-7,  2.48015872888517045348e-5,
+    -1.38888888888730564116e-3,  4.16666666666665929218e-2};
+}  // namespace gaussian
+
 enum class SimdMode {
   kAuto = 0,    // pick the best tier the CPU supports (default)
   kScalar = 1,  // portable reference loops
@@ -135,6 +173,15 @@ struct Gf256Kernels {
   // input. Null for tiers without a vectorized demapper.
   void (*soft_demap)(const SoftDemapTables& tables, const double* observables,
                      size_t voxels, float* llrs);
+
+  // Box-Muller over raw Rng draws: pair i takes u1 = draws[i * stride] and
+  // u2 = draws[i * stride + 1] and writes normals[2i] = r cos(theta),
+  // normals[2i + 1] = r sin(theta), with r = sqrt(-2 log(max(u1 >> 11, 1) *
+  // 2^-53)) and theta = 2 pi (u2 >> 11) * 2^-53. Must reproduce
+  // GaussianFillReference (channel/channel_model.cc) bit for bit for any draws
+  // and any count. Null for tiers without a vectorized Box-Muller.
+  void (*gaussian_fill)(const uint64_t* draws, size_t stride, size_t n,
+                        double* normals);
 };
 
 // The portable reference tier (always available).

@@ -109,6 +109,7 @@ const Gf256Kernels* NeonKernels() {
       .xor_and_fold = nullptr,
       .ldpc_check_node = nullptr,
       .soft_demap = nullptr,
+      .gaussian_fill = nullptr,
   };
   return &k;
 }

@@ -85,6 +85,7 @@ const Gf256Kernels& ScalarKernels() {
       .xor_and_fold = nullptr,
       .ldpc_check_node = nullptr,
       .soft_demap = nullptr,
+      .gaussian_fill = nullptr,
   };
   return k;
 }

@@ -133,12 +133,12 @@ TEST(ReadChannel, LowNoiseMeasurementsNearTruth) {
   }
 }
 
-// The read loop before the bounds-check-free interior and the fmod skip,
-// verbatim: ReadSector and ReadSymbols must reproduce it bit for bit,
-// including every Rng draw.
-std::vector<VoxelObservable> ReferenceReadSector(const ReadChannelParams& params_,
-                                                 const AnalogSector& sector,
-                                                 Rng& rng) {
+// The read loop before the bounds-check-free interior, the fmod skip and the
+// bulk Box-Muller kernel, verbatim: the libm tolerance oracle. Run from a
+// stream with no cached normal, it consumes the same three draws per voxel as
+// ReadSector unless a u1 draw is 0, which it redraws.
+std::vector<VoxelObservable> LibmReadSector(const ReadChannelParams& params_,
+                                            const AnalogSector& sector, Rng& rng) {
   std::vector<VoxelObservable> measured(sector.voxels.size());
 
   for (int r = 0; r < sector.rows; ++r) {
@@ -183,6 +183,63 @@ std::vector<VoxelObservable> ReferenceReadSector(const ReadChannelParams& params
   return measured;
 }
 
+// The bulk-noise read loop with serial draws: per voxel three NextU64 calls
+// (crosstalk, u1, u2) and one scalar Gaussian reference pair. ReadSector and
+// ReadSymbols must reproduce it bit for bit, including the Rng end state.
+std::vector<VoxelObservable> ReferenceReadSector(const ReadChannelParams& params,
+                                                 const AnalogSector& sector,
+                                                 Rng& rng) {
+  std::vector<VoxelObservable> measured(sector.voxels.size());
+  for (int r = 0; r < sector.rows; ++r) {
+    for (int c = 0; c < sector.cols; ++c) {
+      const size_t i = sector.Index(r, c);
+      const VoxelObservable& v = sector.voxels[i];
+
+      double neighbour_sum = 0.0;
+      int neighbour_count = 0;
+      for (int dr = -1; dr <= 1; ++dr) {
+        for (int dc = -1; dc <= 1; ++dc) {
+          if (dr == 0 && dc == 0) {
+            continue;
+          }
+          const int nr = r + dr;
+          const int nc = c + dc;
+          if (nr >= 0 && nr < sector.rows && nc >= 0 && nc < sector.cols) {
+            neighbour_sum += sector.voxels[sector.Index(nr, nc)].retardance;
+            ++neighbour_count;
+          }
+        }
+      }
+      const double neighbour_mean =
+          neighbour_count > 0 ? neighbour_sum / neighbour_count : 0.0;
+
+      const uint64_t crosstalk_bits = rng.NextU64();
+      uint64_t u[2];
+      u[0] = rng.NextU64();
+      u[1] = rng.NextU64();
+      double normal[2];
+      GaussianFillReference(u, 2, 1, normal);
+
+      double retardance =
+          v.retardance + params.isi_coupling * (neighbour_mean - v.retardance) +
+          params.layer_crosstalk *
+              (static_cast<double>(crosstalk_bits >> 11) * 0x1.0p-53) +
+          params.retardance_sigma * normal[0];
+      retardance = std::clamp(retardance, 0.0, 1.5);
+
+      double azimuth = v.azimuth + params.azimuth_sigma * normal[1];
+      azimuth = std::fmod(azimuth, M_PI);
+      if (azimuth < 0.0) {
+        azimuth += M_PI;
+      }
+
+      measured[i].retardance = retardance;
+      measured[i].azimuth = azimuth;
+    }
+  }
+  return measured;
+}
+
 void ExpectSameMeasurements(const std::vector<VoxelObservable>& got,
                             const std::vector<VoxelObservable>& want,
                             const std::string& what) {
@@ -203,6 +260,31 @@ void ExpectSameRngState(Rng a, Rng b, const std::string& what) {
   EXPECT_EQ(std::bit_cast<uint64_t>(a.Normal()), std::bit_cast<uint64_t>(b.Normal()))
       << what;
   EXPECT_EQ(a.NextU64(), b.NextU64()) << what;
+}
+
+// Every measurement within `tolerance` of the oracle's, azimuth modulo pi.
+void ExpectCloseMeasurements(const std::vector<VoxelObservable>& got,
+                             const std::vector<VoxelObservable>& want,
+                             double tolerance, const std::string& what) {
+  ASSERT_EQ(got.size(), want.size()) << what;
+  for (size_t i = 0; i < got.size(); ++i) {
+    ASSERT_NEAR(got[i].retardance, want[i].retardance, tolerance)
+        << what << ", voxel " << i;
+    ASSERT_LE(std::fabs(std::remainder(got[i].azimuth - want[i].azimuth, M_PI)),
+              tolerance)
+        << what << ", voxel " << i << ": " << got[i].azimuth << " vs "
+        << want[i].azimuth;
+  }
+}
+
+// The libm oracle redraws a u1 of 0 and the bulk path does not; a corpus
+// without one keeps both on the same three draws per voxel.
+void ExpectNoZeroU1(Rng rng, size_t voxels, const std::string& what) {
+  std::vector<uint64_t> draws(3 * voxels);
+  rng.FillU64(draws.data(), draws.size());
+  for (size_t i = 0; i < voxels; ++i) {
+    ASSERT_NE(draws[3 * i + 1] >> 11, 0u) << what << ", voxel " << i;
+  }
 }
 
 TEST(ReadChannel, MatchesReferenceLoopBitForBit) {
@@ -239,7 +321,8 @@ TEST(ReadChannel, MatchesReferenceLoopBitForBit) {
           stored[i] = kMissingVoxel;
         }
       }
-      // Start every read mid-pair, with a cached normal, to pin consumption.
+      // Start every read mid-pair, with a cached normal, which the read must
+      // leave pending: the next Normal() is the one cached before the read.
       rng.Normal();
       Rng ref_rng = rng;
       Rng sector_rng = rng;
@@ -251,9 +334,84 @@ TEST(ReadChannel, MatchesReferenceLoopBitForBit) {
                              want, what + " ReadSymbols");
       ExpectSameRngState(sector_rng, ref_rng, what + " ReadSector");
       ExpectSameRngState(symbols_rng, ref_rng, what + " ReadSymbols");
+      {
+        Rng before = rng;
+        Rng after = sector_rng;
+        EXPECT_EQ(std::bit_cast<uint64_t>(before.Normal()),
+                  std::bit_cast<uint64_t>(after.Normal()))
+            << what << ": cached normal lost";
+      }
+
+      // The libm Box-Muller loop bounds the kernel's error, from a stream with
+      // no cached normal (Fork never carries one).
+      const Rng fresh = rng.Fork(symbols.size());
+      ExpectNoZeroU1(fresh, symbols.size(), what);
+      Rng libm_rng = fresh;
+      Rng libm_sector_rng = fresh;
+      Rng libm_symbols_rng = fresh;
+      const auto libm = LibmReadSector(params, analog, libm_rng);
+      ExpectCloseMeasurements(reader.ReadSector(analog, libm_sector_rng), libm,
+                              1e-12, what + " ReadSector vs libm");
+      ExpectCloseMeasurements(
+          reader.ReadSymbols(c, stored, rows, cols, libm_symbols_rng), libm, 1e-12,
+          what + " ReadSymbols vs libm");
+      ExpectSameRngState(libm_sector_rng, libm_rng, what + " ReadSector vs libm");
+      ExpectSameRngState(libm_symbols_rng, libm_rng, what + " ReadSymbols vs libm");
       rng = ref_rng;
+      rng.Normal();  // drain the pending normal; the next case caches a fresh one
     }
   }
+}
+
+// The active tier's Gaussian kernel against libm Box-Muller on the same
+// draws, pair by pair, and its 2 x 10^6 normals against N(0, 1): moments and
+// tail mass within 5 sigma of their sampling error.
+TEST(ReadChannel, GaussianFillMatchesBoxMuller) {
+  constexpr size_t kPairs = 1'000'000;
+  Rng rng(4242);
+  std::vector<uint64_t> draws(2 * kPairs);
+  rng.FillU64(draws.data(), draws.size());
+  std::vector<double> normals(2 * kPairs);
+  GaussianFill(draws.data(), 2, kPairs, normals.data());
+
+  double max_error = 0.0;
+  for (size_t i = 0; i < kPairs; ++i) {
+    const uint64_t k = draws[2 * i] >> 11;
+    ASSERT_NE(k, 0u) << "pair " << i;  // libm Box-Muller would redraw it
+    const double u1 = static_cast<double>(k) * 0x1.0p-53;
+    const double u2 = static_cast<double>(draws[2 * i + 1] >> 11) * 0x1.0p-53;
+    const double r = std::sqrt(-2.0 * std::log(u1));
+    const double theta = 2.0 * M_PI * u2;
+    max_error = std::max({max_error, std::fabs(normals[2 * i] - r * std::cos(theta)),
+                          std::fabs(normals[2 * i + 1] - r * std::sin(theta))});
+    ASSERT_LE(max_error, 1e-13) << "pair " << i;
+  }
+
+  const auto n = static_cast<double>(normals.size());
+  double sum = 0.0;
+  double sum2 = 0.0;
+  double sum4 = 0.0;
+  size_t beyond3 = 0;
+  size_t beyond4 = 0;
+  for (const double x : normals) {
+    sum += x;
+    sum2 += x * x;
+    sum4 += x * x * x * x;
+    beyond3 += std::fabs(x) > 3.0 ? 1 : 0;
+    beyond4 += std::fabs(x) > 4.0 ? 1 : 0;
+  }
+  // Sampling standard errors of N(0, 1) moments about the known mean:
+  // Var(x) = 1, Var(x^2) = 2, Var(x^4) = E[x^8] - 9 = 96.
+  EXPECT_LE(std::fabs(sum / n), 5.0 * std::sqrt(1.0 / n));
+  EXPECT_LE(std::fabs(sum2 / n - 1.0), 5.0 * std::sqrt(2.0 / n));
+  EXPECT_LE(std::fabs(sum4 / n - 3.0), 5.0 * std::sqrt(96.0 / n));
+  for (const auto& [count, sigmas] : {std::pair{beyond3, 3.0}, std::pair{beyond4, 4.0}}) {
+    const double p = std::erfc(sigmas / std::sqrt(2.0));
+    EXPECT_LE(std::fabs(static_cast<double>(count) - n * p),
+              5.0 * std::sqrt(n * p * (1.0 - p)))
+        << "mass beyond " << sigmas << " sigma";
+  }
+  std::printf("max |kernel - libm| %.3g over %zu pairs\n", max_error, kPairs);
 }
 
 TEST(ReadChannel, ReadSymbolsRejectsWrongShape) {

@@ -1,5 +1,7 @@
+#include <bit>
 #include <cmath>
 #include <set>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -48,6 +50,24 @@ TEST(Rng, ForkTagsDecorrelate) {
   Rng a = parent.Fork(1);
   Rng b = parent.Fork(2);
   EXPECT_NE(a.NextU64(), b.NextU64());
+}
+
+TEST(Rng, FillU64MatchesNextU64) {
+  for (const size_t n : {size_t{0}, size_t{1}, size_t{7}, size_t{6144}}) {
+    Rng serial(23);
+    serial.Normal();  // leaves a cached normal pending
+    Rng bulk = serial;
+    std::vector<uint64_t> drawn(n);
+    bulk.FillU64(drawn.data(), n);
+    for (size_t i = 0; i < n; ++i) {
+      ASSERT_EQ(drawn[i], serial.NextU64()) << "length " << n << ", draw " << i;
+    }
+    // Same end state, and the pending normal survived the bulk draw.
+    EXPECT_EQ(std::bit_cast<uint64_t>(bulk.Normal()),
+              std::bit_cast<uint64_t>(serial.Normal()))
+        << "length " << n;
+    EXPECT_EQ(bulk.NextU64(), serial.NextU64()) << "length " << n;
+  }
 }
 
 TEST(Rng, UniformIntCoversRangeInclusively) {

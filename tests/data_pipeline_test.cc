@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <numeric>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -274,6 +275,61 @@ TEST_F(DataPipelineTest, CrossPlatterRecovery) {
   for (size_t s = 0; s < recovered->size(); ++s) {
     EXPECT_EQ((*recovered)[s], info[2].payloads[0][s]) << "sector " << s;
   }
+}
+
+TEST_F(DataPipelineTest, RecoverTrackReadsOnlyTheRedundancyItNeeds) {
+  // One missing platter of a 4+2 set is S unknown shards, which the first
+  // redundancy platter covers: the second is never read unless the first's
+  // track is unreadable.
+  const DataPlane& plane = Plane();
+  Rng rng(34);
+  PlatterWriter writer(plane);
+  const PlatterSetCodec set_codec(plane, {.info = 4, .redundancy = 2});
+  std::vector<WrittenPlatter> info;
+  for (int p = 0; p < 4; ++p) {
+    info.push_back(writer.WritePlatter(static_cast<uint64_t>(p), SomeFiles(rng, 1, 3000),
+                                       rng));
+  }
+  std::vector<const WrittenPlatter*> info_ptrs;
+  for (const auto& w : info) {
+    info_ptrs.push_back(&w);
+  }
+  const auto redundancy = set_codec.EncodeRedundancyPlatters(info_ptrs, 100, rng);
+  const std::vector<const GlassPlatter*> avail_info = {
+      &info[0].platter, &info[2].platter, &info[3].platter};
+  const std::vector<size_t> avail_info_idx = {0, 2, 3};
+  const auto sectors = static_cast<uint64_t>(plane.geometry().sectors_per_track());
+  const auto& want = info[1].payloads[0];
+
+  ReadStats stats;
+  Rng both_rng(7);
+  const auto both = set_codec.RecoverTrack(
+      avail_info, avail_info_idx, {&redundancy[0].platter, &redundancy[1].platter},
+      {0, 1}, 1, 0, both_rng, &stats);
+  ASSERT_TRUE(both.has_value());
+  EXPECT_EQ(stats.recovery_reads, (avail_info.size() + 1) * sectors);
+  EXPECT_EQ(*both, want);
+  Rng first_rng(7);
+  const auto first_only = set_codec.RecoverTrack(avail_info, avail_info_idx,
+                                                 {&redundancy[0].platter}, {0}, 1, 0,
+                                                 first_rng);
+  ASSERT_TRUE(first_only.has_value());
+  EXPECT_EQ(*both, *first_only);
+
+  // Blank every voxel of the first redundancy platter: its track 0 cannot be
+  // read by any on-platter layer, so recovery falls through to the second.
+  GlassPlatter blank = redundancy[0].platter;
+  std::vector<size_t> all_voxels(static_cast<size_t>(plane.geometry().voxels_per_sector()));
+  std::iota(all_voxels.begin(), all_voxels.end(), size_t{0});
+  for (int t = 0; t < plane.geometry().tracks_per_platter(); ++t) {
+    for (int s = 0; s < plane.geometry().sectors_per_track(); ++s) {
+      blank.Erode({t, s}, all_voxels);
+    }
+  }
+  const auto fallback = set_codec.RecoverTrack(
+      avail_info, avail_info_idx, {&blank, &redundancy[1].platter}, {0, 1}, 1, 0, rng);
+  ASSERT_TRUE(fallback.has_value());
+  EXPECT_EQ(*fallback, want);
 }
 
 TEST_F(DataPipelineTest, CrossPlatterSurvivesTwoMissingPlatters) {

@@ -7,6 +7,7 @@
 // are a classic source of wrong-answer bugs, so the suites sweep lengths
 // through 0..3x the widest vector width and run on deliberately misaligned
 // pointers.
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -19,6 +20,7 @@
 
 #include <gtest/gtest.h>
 
+#include "channel/channel_model.h"
 #include "channel/constellation.h"
 #include "channel/soft_decoder.h"
 #include "common/rng.h"
@@ -252,6 +254,32 @@ TEST(Gf256Kernels, Gf65536MulAccumulateExhaustiveNibblePatterns) {
       Gf65536::MulAccumulate(dst, src, static_cast<uint16_t>(coeff));
       ASSERT_EQ(dst, expected)
           << "tier " << SimdModeName(tier) << " coeff " << coeff;
+    }
+  }
+}
+
+TEST(Gf256Kernels, Gf65536MulAccumulateEveryCoefficient) {
+  // Every nonzero coefficient on words holding every nibble value in every
+  // nibble position: pins each per-coefficient table entry of every tier.
+  std::vector<uint16_t> src;
+  for (int n = 0; n < 16; ++n) {
+    for (int pos = 0; pos < 4; ++pos) {
+      src.push_back(static_cast<uint16_t>(n << (4 * pos)));
+    }
+  }
+  src.push_back(0xFFFF);
+  std::vector<uint16_t> expected(src.size());
+  std::vector<uint16_t> dst(src.size());
+  for (const SimdMode tier : Tiers()) {
+    ScopedSimdMode guard(tier);
+    for (uint32_t coeff = 1; coeff <= 0xFFFF; ++coeff) {
+      const auto c = static_cast<uint16_t>(coeff);
+      for (size_t i = 0; i < src.size(); ++i) {
+        expected[i] = Gf65536::Mul(src[i], c);
+      }
+      std::fill(dst.begin(), dst.end(), 0);
+      Gf65536::MulAccumulate(dst, src, c);
+      ASSERT_EQ(dst, expected) << "tier " << SimdModeName(tier) << " coeff " << coeff;
     }
   }
 }
@@ -563,6 +591,76 @@ TEST(Gf256Kernels, SoftDemapIdenticalAcrossTiersForEverySectorLength) {
     ExpectDemapIdenticalAcrossTiers(
         decoder, std::span<const VoxelObservable>(edges.data() + edges.size() - len, len),
         "edge tail length " + std::to_string(len));
+  }
+}
+
+// --- Box-Muller noise -------------------------------------------------------
+
+// GaussianFill in every tier against the scalar reference, bit for bit.
+void ExpectGaussianIdenticalAcrossTiers(const uint64_t* draws, size_t stride,
+                                        size_t n, const std::string& what) {
+  std::vector<double> reference(2 * n);
+  GaussianFillReference(draws, stride, n, reference.data());
+  for (const SimdMode tier : Tiers()) {
+    ScopedSimdMode guard(tier);
+    std::vector<double> normals(2 * n);
+    GaussianFill(draws, stride, n, normals.data());
+    for (size_t i = 0; i < normals.size(); ++i) {
+      ASSERT_EQ(std::bit_cast<uint64_t>(normals[i]),
+                std::bit_cast<uint64_t>(reference[i]))
+          << "tier " << SimdModeName(tier) << ", " << what << ", normal " << i
+          << ": " << normals[i] << " vs scalar " << reference[i];
+    }
+  }
+}
+
+TEST(Gf256Kernels, GaussianFillIdenticalAcrossTiers) {
+  // Edge u1 draws: k = u1 >> 11 of 0 (clamped to 1), 1, 2^53 - 1, every power
+  // of two and its neighbours, each with clear and set low bits.
+  std::vector<uint64_t> u1s;
+  for (const uint64_t k : {uint64_t{0}, uint64_t{1}, (uint64_t{1} << 53) - 1}) {
+    u1s.push_back(k << 11);
+  }
+  for (int j = 1; j < 53; ++j) {
+    for (const uint64_t k : {(uint64_t{1} << j) - 1, uint64_t{1} << j,
+                             (uint64_t{1} << j) + 1}) {
+      u1s.push_back(k << 11);
+      u1s.push_back((k << 11) | 0x7FF);
+    }
+  }
+  // Edge u2 draws: every octant boundary of theta and 1 ulp of u2 either side.
+  std::vector<uint64_t> u2s;
+  for (uint64_t octant = 0; octant <= 8; ++octant) {
+    const uint64_t k = octant << 50;
+    for (const uint64_t kk : {k - 1, k, k + 1}) {
+      if (kk < (uint64_t{1} << 53)) {
+        u2s.push_back(kk << 11);
+      }
+    }
+  }
+  std::vector<uint64_t> edges;
+  for (const uint64_t u1 : u1s) {
+    for (const uint64_t u2 : u2s) {
+      edges.push_back(u1);
+      edges.push_back(u2);
+    }
+  }
+  ExpectGaussianIdenticalAcrossTiers(edges.data(), 2, edges.size() / 2, "edge draws");
+
+  // Random draws at the read channel's stride (crosstalk, u1, u2), for every
+  // length around the 4-pair block and one odd sector-sized length.
+  for (uint64_t seed = 1; seed <= 50; ++seed) {
+    Rng rng(seed + 9000);
+    for (const size_t n : {size_t{0}, size_t{1}, size_t{2}, size_t{3}, size_t{4},
+                           size_t{5}, size_t{6}, size_t{7}, size_t{8}, size_t{9},
+                           size_t{10}, size_t{11}, size_t{12}, size_t{13},
+                           size_t{2051}}) {
+      std::vector<uint64_t> draws(3 * n + 1);  // never empty: the pairs start at 1
+      rng.FillU64(draws.data(), draws.size());
+      ExpectGaussianIdenticalAcrossTiers(
+          draws.data() + 1, 3, n,
+          "seed " + std::to_string(seed) + ", length " + std::to_string(n));
+    }
   }
 }
 

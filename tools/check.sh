@@ -126,12 +126,15 @@ assert simd["bit_identical"], f"SIMD tiers disagree with scalar: {simd}"
 for tier in tiers.values():
     assert tier["checksum"] == tiers["scalar"]["checksum"], simd
     assert tier["demap_sectors_per_second"] > 0, f"demap stage did not run: {tier}"
+    assert tier["noise_sectors_per_second"] > 0, f"noise stage did not run: {tier}"
 print("ok: payload checksum %s at 1 and 4 threads; tiers " % runs[1] +
       ", ".join(sorted(tiers)) +
-      " bit-identical (GF, recovery, LDPC, demap); best %s at %.2fx recovery "
-      "speedup, demap %s" % (
+      " bit-identical (GF, recovery, LDPC, demap, noise); best %s at %.2fx "
+      "recovery speedup, demap %s, noise %s" % (
           simd["best_tier"], simd["simd_speedup"],
           ", ".join("%s %.0f sectors/s" % (t["tier"], t["demap_sectors_per_second"])
+                    for t in simd["tiers"]),
+          ", ".join("%s %.0f sectors/s" % (t["tier"], t["noise_sectors_per_second"])
                     for t in simd["tiers"])))
 '
 
@@ -209,6 +212,6 @@ cmake --preset asan >/dev/null
 cmake --build --preset asan -j "$jobs" --target silica_tests
 ASAN_OPTIONS=detect_leaks=1 UBSAN_OPTIONS=print_stacktrace=1 \
   ./build-asan/tests/silica_tests \
-  --gtest_filter='Simulator.*:SimEquivalence.*:CalendarQueueDirect.*:SchedulerEquivalence.*:SchedulerTelemetry.*:ShardedScheduler.*:Partitioner.*:MetricsRegistry.*:Tracer.*:Telemetry.*:Gf256Kernels.*:FaultInjector.*:FaultInjectorState.*:FaultedLibrary.*:MediaAging.*:PlatterRepair.*:ScrubbedLibrary.*:RngState.*:Checkpoint.*:ConvertedTypes/CheckpointRoundTrip.*:LazyRepair*:DurabilityModel.*:Federation.*:Placement.*:FrontendProtocolTest.*:FrontendTest.*:RequestStreamTest.*:DataPlaneParallel.*:DataPipelineTest.*:SoftDecoder.*:SectorCodecTest.*:ReadChannel.*:Constellation.*-DataPipelineTest.VerifyReportsInjectedUnrecoverableLoss'
+  --gtest_filter='Rng.*:Simulator.*:SimEquivalence.*:CalendarQueueDirect.*:SchedulerEquivalence.*:SchedulerTelemetry.*:ShardedScheduler.*:Partitioner.*:MetricsRegistry.*:Tracer.*:Telemetry.*:Gf256Kernels.*:FaultInjector.*:FaultInjectorState.*:FaultedLibrary.*:MediaAging.*:PlatterRepair.*:ScrubbedLibrary.*:RngState.*:Checkpoint.*:ConvertedTypes/CheckpointRoundTrip.*:LazyRepair*:DurabilityModel.*:Federation.*:Placement.*:FrontendProtocolTest.*:FrontendTest.*:RequestStreamTest.*:DataPlaneParallel.*:DataPipelineTest.*:SoftDecoder.*:SectorCodecTest.*:ReadChannel.*:Constellation.*-DataPipelineTest.VerifyReportsInjectedUnrecoverableLoss'
 
 echo "== OK =="

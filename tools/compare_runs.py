@@ -283,6 +283,7 @@ def compare_decode_stack(base, cand, tolerance):
             ("recovery_sectors_per_second", "recovery sectors/s", +1),
             ("ldpc_decodes_per_second", "ldpc decodes/s", +1),
             ("demap_sectors_per_second", "demap sectors/s", +1),
+            ("noise_sectors_per_second", "noise sectors/s", +1),
         ]:
             b = base_tiers[tier].get(key)
             c = cand_tiers[tier].get(key)
