@@ -10,6 +10,7 @@
 #ifndef SILICA_COMMON_THREAD_POOL_H_
 #define SILICA_COMMON_THREAD_POOL_H_
 
+#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
@@ -18,6 +19,7 @@
 #include <exception>
 #include <functional>
 #include <future>
+#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -88,10 +90,54 @@ class ThreadPool {
   std::atomic<uint64_t> spawned_{0};
 };
 
-// Runs fn(i) for every i in [0, n), fanning contiguous index chunks out across the
-// pool. Deterministic by construction: every index runs exactly once and fn must
-// only write to state owned by its index (e.g. results[i]), so the outcome is
+namespace internal {
+
+// What one ParallelFor call shares with the helpers it enlists. Helpers hold it
+// by shared_ptr, so one that starts after the call returned still finds it
+// alive: it claims a chunk index past the end and leaves without touching the
+// caller's frame (fn included).
+struct ParallelForState {
+  explicit ParallelForState(size_t n_chunks) : chunks(n_chunks), errors(n_chunks) {}
+
+  const size_t chunks;
+  std::atomic<size_t> next{0};  // next unclaimed chunk
+  // Chunks finished; 32-bit so wait/notify map straight onto a futex.
+  std::atomic<uint32_t> done{0};
+  std::vector<std::exception_ptr> errors;  // per chunk; written by its runner
+};
+
+// Claims chunks until none remain, running each one to its end or its first
+// exception. fn is only called for a claimed chunk, and the caller does not
+// return before every claimed chunk is done, so fn is alive whenever used.
+template <typename Fn>
+void RunParallelForChunks(ParallelForState& state, size_t n, Fn& fn) {
+  for (size_t c = state.next++; c < state.chunks; c = state.next++) {
+    const size_t begin = n * c / state.chunks;
+    const size_t end = n * (c + 1) / state.chunks;
+    try {
+      for (size_t i = begin; i < end; ++i) {
+        fn(i);
+      }
+    } catch (...) {
+      state.errors[c] = std::current_exception();
+    }
+    if (++state.done == state.chunks) {
+      state.done.notify_all();
+    }
+  }
+}
+
+}  // namespace internal
+
+// Runs fn(i) for every i in [0, n), handing contiguous index chunks out from a
+// shared counter to the calling thread and up to size() pool workers.
+// Deterministic by construction: every index runs exactly once and fn must only
+// write to state owned by its index (e.g. results[i]), so the outcome is
 // independent of the worker count and identical to the serial loop.
+//
+// The caller claims chunks too and returns as soon as every chunk has finished:
+// it waits only on chunks a helper is already running, never on a helper that
+// has not started (with every worker busy, the caller runs the whole range).
 //
 // Falls back to a plain inline loop when pool is null, has at most one worker, or
 // the caller is itself a pool worker (nested fan-out would deadlock a saturated
@@ -109,31 +155,23 @@ void ParallelFor(ThreadPool* pool, size_t n, Fn&& fn) {
     return;
   }
   // A few chunks per worker evens out skew (sector decode times vary with noise)
-  // without paying per-index submission overhead.
+  // without paying per-index claim overhead.
   const size_t chunks = std::min(n, pool->size() * 4);
-  std::vector<std::future<void>> futures;
-  futures.reserve(chunks);
-  for (size_t c = 0; c < chunks; ++c) {
-    const size_t begin = n * c / chunks;
-    const size_t end = n * (c + 1) / chunks;
-    futures.push_back(pool->Submit([&fn, begin, end] {
-      for (size_t i = begin; i < end; ++i) {
-        fn(i);
-      }
-    }));
+  auto state = std::make_shared<internal::ParallelForState>(chunks);
+  const size_t helpers = std::min(pool->size(), chunks - 1);
+  for (size_t h = 0; h < helpers; ++h) {
+    // A helper may start after this call returns, holding a dangling `fn`; it
+    // then claims nothing and never calls it (see RunParallelForChunks).
+    pool->Submit([state, n, &fn] { internal::RunParallelForChunks(*state, n, fn); });
   }
-  std::exception_ptr first;
-  for (auto& future : futures) {
-    try {
-      future.get();
-    } catch (...) {
-      if (!first) {
-        first = std::current_exception();
-      }
+  internal::RunParallelForChunks(*state, n, fn);
+  for (uint32_t done = state->done; done != chunks; done = state->done) {
+    state->done.wait(done);
+  }
+  for (const std::exception_ptr& error : state->errors) {
+    if (error) {
+      std::rethrow_exception(error);
     }
-  }
-  if (first) {
-    std::rethrow_exception(first);
   }
 }
 

@@ -55,12 +55,13 @@ void Simulator::PurgeStaleTombstones() {
 bool Simulator::Idle() const {
   // Counts tombstones against the actual queue contents rather than trusting
   // cancelled_.size(): the set may hold stale entries for events that fired
-  // before being cancelled. Cold path (tests and end-of-run checks), so the
-  // O(queue) sweep is fine.
+  // before being cancelled. Each queued tombstone has its own entry in the
+  // set, so a queue longer than the set must hold a live event; only the rest
+  // pays the O(queue) sweep.
   if (queue_.empty()) {
     return true;
   }
-  if (cancelled_.empty()) {
+  if (cancelled_.size() < queue_.size()) {
     return false;
   }
   size_t tombstones = 0;
@@ -138,11 +139,14 @@ uint64_t Simulator::Run(SimTime until) {
     ++events_executed_;
   }
   // A bounded run advances the clock to `until` only when it was genuinely
-  // interrupted (events remain past the bound). When the workload drained
-  // first, the clock stays at the last event — so a checkpoint requested past
-  // the end of the run captures the natural final state instead of an
-  // artificially late one.
-  if (now_ < until && until != kForever && !Idle()) {
+  // interrupted (a live event remains past the bound). When the workload
+  // drained first, the clock stays at the last event — so a checkpoint
+  // requested past the end of the run captures the natural final state instead
+  // of an artificially late one. The loop stopped on the top event, so Top()
+  // is cached and a live top answers in O(1); only a tombstone on top needs
+  // Idle()'s exact check. Tombstones stay queued: PeekNextTime() reports them.
+  if (now_ < until && until != kForever && !queue_.empty() &&
+      (cancelled_.count(queue_.Top().id) == 0 || !Idle())) {
     now_ = until;
   }
   return executed;

@@ -76,6 +76,30 @@ TEST(Federation, ByteIdenticalAcrossThreadCountsFiftySeeds) {
   }
 }
 
+TEST(Federation, ByteIdenticalWithExplicitWritesAcrossThreadCounts) {
+  // The explicit write pipeline's verify preemptions cancel queued events, so
+  // every twin's bounded runs end with tombstones in its queue.
+  const auto config = [](uint64_t seed, int threads) {
+    FederationConfig fc = SmallConfig(seed, 3, threads);
+    fc.library.write_platters_per_hour = 4.0;
+    fc.library.write_until = fc.library.measure_end;
+    fc.replication_writes_per_hour = 4.0;
+    fc.replication_until_s = fc.library.measure_end;
+    return fc;
+  };
+  for (uint64_t seed = 1; seed <= 10; ++seed) {
+    const FederationResult baseline = SimulateFederation(config(seed, 1));
+    ExpectConserves(baseline, "explicit writes");
+    EXPECT_GT(baseline.replication_writes, 0u) << "seed " << seed;
+    const auto baseline_bytes = ResultBytes(baseline);
+    for (int threads : {2, 8}) {
+      const auto bytes = ResultBytes(SimulateFederation(config(seed, threads)));
+      ASSERT_EQ(bytes, baseline_bytes) << "seed " << seed << ", " << threads
+                                       << " threads";
+    }
+  }
+}
+
 TEST(Federation, SingleLibraryMatchesBareSimulateLibrary) {
   // With one library and no geo traffic the epoch loop is pure slicing: the
   // same twin, the same trace, the same seed, run in lookahead-sized chunks.

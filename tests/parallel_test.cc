@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <latch>
 #include <limits>
 #include <numeric>
 #include <optional>
@@ -109,6 +110,26 @@ TEST(ParallelFor, NestedCallFromWorkerDegradesInline) {
   for (uint64_t v : outer) {
     EXPECT_EQ(v, 120u);
   }
+}
+
+TEST(ParallelFor, CompletesWhileEveryWorkerIsBusy) {
+  // Declared before the pool so they outlive the workers parked on them.
+  std::latch parked(2);
+  std::latch release(1);
+  ThreadPool pool(2);
+  for (int w = 0; w < 2; ++w) {
+    pool.Submit([&] {
+      parked.count_down();
+      release.wait();
+    });
+  }
+  parked.wait();
+  // Both workers are parked, so no helper can start: the caller must claim
+  // every chunk itself and return without waiting on the queued helpers.
+  std::vector<int> hits(64, 0);
+  ParallelFor(&pool, hits.size(), [&](size_t i) { ++hits[i]; });
+  EXPECT_EQ(hits, std::vector<int>(64, 1));
+  release.count_down();
 }
 
 // ---------- ThreadPool lifecycle ----------

@@ -3,8 +3,10 @@
 // that events fire in exact lexicographic (time, id) order with FIFO tie-break
 // among simultaneous events; these tests replay randomized schedule / cancel /
 // zero-delay / tie workloads through both engines and require identical
-// execution logs, and separately stress the paths the calendar queue added
+// execution logs (and, across bounded Run(until) slices, identical clocks), and
+// separately stress the paths the calendar queue added
 // (bucket resizes, fill/drain cycles, tombstone purges).
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <queue>
@@ -32,6 +34,7 @@ class ReferenceSimulator {
   EventId Schedule(double delay, std::function<void()> fn) {
     const EventId id = next_id_++;
     queue_.push(Event{now_ + delay, id, std::move(fn)});
+    queued_.insert(id);
     return id;
   }
 
@@ -46,12 +49,23 @@ class ReferenceSimulator {
       }
       Event event{top.time, top.id, std::move(const_cast<Event&>(top).fn)};
       queue_.pop();
+      queued_.erase(event.id);
       if (cancelled_.erase(event.id) != 0) {
         continue;
       }
       now_ = event.time;
       event.fn();
       ++executed;
+    }
+    // Clock rule: a bounded run ends at `until` iff a non-cancelled event is
+    // still queued; otherwise the clock stays at the last fired event.
+    if (now_ < until && until != 1e30) {
+      for (const EventId id : queued_) {
+        if (cancelled_.count(id) == 0) {
+          now_ = until;
+          break;
+        }
+      }
     }
     return executed;
   }
@@ -74,6 +88,7 @@ class ReferenceSimulator {
   double now_ = 0.0;
   EventId next_id_ = 1;
   std::priority_queue<Event, std::vector<Event>, Later> queue_;
+  std::unordered_set<EventId> queued_;
   std::unordered_set<EventId> cancelled_;
 };
 
@@ -144,6 +159,84 @@ TEST(SimEquivalence, RandomizedWorkloadsMatchReferenceHeap) {
     for (size_t i = 0; i < engine.size(); ++i) {
       ASSERT_EQ(engine[i], reference[i])
           << "seed " << seed << " diverged at event " << i;
+    }
+  }
+}
+
+// Bounded slices: between Run(until) calls the test schedules fresh events,
+// cancels pending ones (sometimes all of them, leaving only tombstones) and
+// re-cancels fired ones (stale cancels). Fired events may schedule a
+// successor. Records the clock after every slice next to the executed log.
+struct SliceTrace {
+  Log log;
+  std::vector<double> clocks;
+};
+
+template <typename Sim>
+SliceTrace ReplaySlices(uint64_t seed, int slices) {
+  Sim sim;
+  Rng rng(seed);
+  SliceTrace trace;
+  std::vector<uint64_t> pending;  // scheduled, neither fired nor cancelled
+  std::vector<uint64_t> fired;
+  // Ids are handed out sequentially from 1 by both engines (as in Replay).
+  uint64_t next_id = 1;
+  const auto pick = [&rng](const std::vector<uint64_t>& ids) {
+    return static_cast<size_t>(
+        rng.UniformInt(0, static_cast<int64_t>(ids.size()) - 1));
+  };
+  std::function<void(uint64_t)> body;
+  const auto schedule = [&] {
+    const double delay = static_cast<double>(rng.UniformInt(0, 24)) * 0.25;
+    const uint64_t my = next_id++;
+    EXPECT_EQ(sim.Schedule(delay, [&body, my] { body(my); }), my);
+    pending.push_back(my);
+  };
+  body = [&](uint64_t my_id) {
+    trace.log.emplace_back(sim.Now(), my_id);
+    pending.erase(std::find(pending.begin(), pending.end(), my_id));
+    fired.push_back(my_id);
+    if (rng.Bernoulli(0.3)) {
+      schedule();
+    }
+  };
+
+  for (int slice = 0; slice < slices; ++slice) {
+    const int fresh = static_cast<int>(rng.UniformInt(0, 3));
+    for (int i = 0; i < fresh; ++i) {
+      schedule();
+    }
+    if (!pending.empty() && rng.Bernoulli(0.1)) {
+      for (const uint64_t id : pending) {
+        sim.Cancel(id);
+      }
+      pending.clear();
+    }
+    const int cancels = static_cast<int>(rng.UniformInt(0, 2));
+    for (int i = 0; i < cancels && !pending.empty(); ++i) {
+      const size_t at = pick(pending);
+      sim.Cancel(pending[at]);
+      pending[at] = pending.back();
+      pending.pop_back();
+    }
+    if (!fired.empty() && rng.Bernoulli(0.4)) {
+      sim.Cancel(fired[pick(fired)]);  // stale: already fired
+    }
+    sim.Run(sim.Now() + static_cast<double>(rng.UniformInt(0, 12)) * 0.25);
+    trace.clocks.push_back(sim.Now());
+  }
+  return trace;
+}
+
+TEST(SimEquivalence, BoundedRunsMatchReferenceLogAndClock) {
+  for (uint64_t seed = 1; seed <= 50; ++seed) {
+    const SliceTrace engine = ReplaySlices<Simulator>(seed, 300);
+    const SliceTrace reference = ReplaySlices<ReferenceSimulator>(seed, 300);
+    ASSERT_EQ(engine.log, reference.log) << "seed " << seed;
+    ASSERT_EQ(engine.clocks.size(), reference.clocks.size());
+    for (size_t i = 0; i < engine.clocks.size(); ++i) {
+      ASSERT_EQ(engine.clocks[i], reference.clocks[i])
+          << "seed " << seed << " clock diverged after slice " << i;
     }
   }
 }

@@ -206,6 +206,62 @@ TEST(Simulator, CancelAndRescheduleFromCallbackKeepsDeterministicOrder) {
   EXPECT_DOUBLE_EQ(fired_at[0], 6.0);
 }
 
+// Bounded-run clock rule: Run(until) advances the clock to `until` iff a
+// non-cancelled event is still queued past the bound. Tombstones stay queued,
+// so PeekNextTime() keeps reporting the earliest of them.
+
+TEST(Simulator, BoundedRunAdvancesPastTombstoneOnTopWithLiveEventBehind) {
+  Simulator sim;
+  sim.Schedule(1.0, [] {});
+  const auto tombstone = sim.Schedule(20.0, [] {});
+  sim.Schedule(30.0, [] {});
+  sim.Cancel(tombstone);
+  EXPECT_EQ(sim.Run(15.0), 1u);
+  EXPECT_DOUBLE_EQ(sim.Now(), 15.0);
+  EXPECT_DOUBLE_EQ(sim.PeekNextTime(), 20.0);
+}
+
+TEST(Simulator, BoundedRunStaysPutWhenOnlyTombstonesRemainPastBound) {
+  Simulator sim;
+  sim.Schedule(1.0, [] {});
+  sim.Cancel(sim.Schedule(20.0, [] {}));
+  sim.Cancel(sim.Schedule(30.0, [] {}));
+  EXPECT_EQ(sim.Run(15.0), 1u);
+  EXPECT_DOUBLE_EQ(sim.Now(), 1.0);
+  EXPECT_DOUBLE_EQ(sim.PeekNextTime(), 20.0);
+  EXPECT_TRUE(sim.Idle());
+}
+
+TEST(Simulator, BoundedRunAdvancesOnLiveTopDespiteStaleCancel) {
+  Simulator sim;
+  const auto fired = sim.Schedule(1.0, [] {});
+  sim.Schedule(20.0, [] {});
+  sim.Run(5.0);
+  EXPECT_DOUBLE_EQ(sim.Now(), 5.0);
+  sim.Cancel(fired);  // stale: the set now holds as many ids as the queue
+  EXPECT_EQ(sim.Run(10.0), 0u);
+  EXPECT_DOUBLE_EQ(sim.Now(), 10.0);
+  EXPECT_DOUBLE_EQ(sim.PeekNextTime(), 20.0);
+}
+
+TEST(Simulator, BoundedRunFindsLiveEventBehindTombstoneAmongStaleCancels) {
+  // Stale cancels outnumber the queue, so neither the live-top test nor the
+  // set-size shortcut decides: the exact sweep must find the live event.
+  Simulator sim;
+  const auto a = sim.Schedule(1.0, [] {});
+  const auto b = sim.Schedule(2.0, [] {});
+  const auto tombstone = sim.Schedule(20.0, [] {});
+  sim.Schedule(30.0, [] {});
+  sim.Run(3.0);
+  sim.Cancel(a);
+  sim.Cancel(b);
+  sim.Cancel(tombstone);
+  EXPECT_EQ(sim.Run(15.0), 0u);
+  EXPECT_DOUBLE_EQ(sim.Now(), 15.0);
+  EXPECT_DOUBLE_EQ(sim.PeekNextTime(), 20.0);
+  EXPECT_FALSE(sim.Idle());
+}
+
 TEST(Simulator, EventCountTracked) {
   Simulator sim;
   for (int i = 0; i < 7; ++i) {
