@@ -8,7 +8,7 @@
 // --threads=N sizes the worker pool for the measured run (default: hardware
 // concurrency); a 1-thread baseline always runs first so the speedup is reported.
 // --simd=auto|scalar|avx2|neon forces the kernel tier for the full-stack run.
-// --json emits one machine-readable object on stdout (sectors/s and an FNV-1a
+// --json emits one machine-readable object on stdout (the host it ran on, sectors/s and an FNV-1a
 // payload checksum per worker count, speedup vs 1 thread, and a per-SIMD-tier kernel-stage section — GF(256),
 // recovery, LDPC, the fused soft demap and the read channel's noise — with a bit-identity checksum) for
 // BENCH_decode.json trajectories; see tools/compare_runs.py for the diff rules.
@@ -463,6 +463,7 @@ int Run(int threads, bool json, SimdMode simd) {
         .Field("bit_identical", bit_identical);
     JsonObject out;
     out.Field("bench", "decode_stack")
+        .FieldRaw("host", HostJson())
         .Field("threads", threads)
         .FieldRaw("runs", JsonArray({render(baseline), render(threaded)}))
         .Field("sectors_per_second", threaded.sectors_per_second)

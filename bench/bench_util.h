@@ -8,11 +8,13 @@
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/units.h"
 #include "core/library_sim.h"
 #include "core/sweep.h"
+#include "ecc/simd/gf256_kernels.h"
 #include "workload/trace_gen.h"
 
 namespace silica {
@@ -131,6 +133,24 @@ inline std::string JsonArray(const std::vector<std::string>& rendered_items) {
     out += rendered_items[i];
   }
   return out + "]";
+}
+
+// The host a --json report was measured on: logical CPUs, the active SIMD
+// kernel tier, and the build type and compiler of the bench binary.
+inline std::string HostJson() {
+#if defined(__clang__)
+  const std::string compiler = std::string("clang ") + __clang_version__;
+#elif defined(__GNUC__)
+  const std::string compiler = std::string("gcc ") + __VERSION__;
+#else
+  const std::string compiler = "unknown";
+#endif
+  return JsonObject()
+      .Field("nproc", static_cast<int>(std::thread::hardware_concurrency()))
+      .Field("simd", ActiveKernels().name)
+      .Field("build_type", SILICA_BUILD_TYPE)
+      .Field("compiler", compiler)
+      .Str();
 }
 
 }  // namespace silica

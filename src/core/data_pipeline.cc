@@ -5,7 +5,7 @@
 #include <chrono>
 #include <cstdint>
 #include <cstring>
-#include <numeric>
+#include <map>
 #include <stdexcept>
 
 #include "common/thread_pool.h"
@@ -211,75 +211,136 @@ std::vector<std::optional<std::vector<uint8_t>>> PlatterReader::ReadTrackPayload
   return ReadTrack(platter, track, all, rng, stats);
 }
 
-std::vector<std::optional<std::vector<uint8_t>>> PlatterReader::ReadTrack(
-    const GlassPlatter& platter, int track, std::span<const uint8_t> wanted,
-    Rng& rng, ReadStats* stats, int retries) const {
+PlatterReader::TrackPass PlatterReader::PlanTrack(const GlassPlatter& platter, int track,
+                                                  std::vector<uint8_t> wanted, Rng& rng) {
+  TrackPass pass{&platter, track, std::move(wanted), rng};
+  rng.NextU64();
+  return pass;
+}
+
+PlatterReader::TrackPayloads PlatterReader::ReadTrack(const GlassPlatter& platter,
+                                                      int track,
+                                                      std::span<const uint8_t> wanted,
+                                                      Rng& rng, ReadStats* stats,
+                                                      int retries) const {
+  const TrackPass pass =
+      PlanTrack(platter, track, std::vector<uint8_t>(wanted.begin(), wanted.end()), rng);
+  TrackRead read = std::move(ReadPass({&pass, 1}, retries).front());
+  Account(read.stats, stats, /*recovery=*/false);
+  return std::move(read.payloads);
+}
+
+void PlatterReader::Account(const ReadStats& read, ReadStats* stats,
+                            bool recovery) const {
+  const uint64_t sectors_read = recovery ? 0 : read.sectors_read;
+  const uint64_t recovery_reads =
+      read.recovery_reads + (recovery ? read.sectors_read : 0);
+  if (stats != nullptr) {
+    if (recovery) {
+      stats->recovery_reads += recovery_reads;
+    } else {
+      stats->sectors_read += read.sectors_read;
+      stats->ldpc_failures += read.ldpc_failures;
+      stats->track_nc_recoveries += read.track_nc_recoveries;
+      stats->large_nc_recoveries += read.large_nc_recoveries;
+      stats->ldpc_retry_recoveries += read.ldpc_retry_recoveries;
+      stats->recovery_reads += read.recovery_reads;
+      stats->used_large_group = stats->used_large_group || read.used_large_group;
+    }
+  }
+  const DataPlane::StageCounters& counters = plane_->stage_counters();
+  for (const auto& [counter, n] :
+       {std::pair{counters.sectors_read, sectors_read},
+        std::pair{counters.ldpc_failures, read.ldpc_failures},
+        std::pair{counters.track_nc_recoveries, read.track_nc_recoveries},
+        std::pair{counters.large_nc_recoveries, read.large_nc_recoveries},
+        std::pair{counters.recovery_reads, recovery_reads}}) {
+    if (counter != nullptr && n > 0) {
+      counter->Increment(static_cast<double>(n));
+    }
+  }
+}
+
+std::vector<PlatterReader::TrackRead> PlatterReader::ReadPass(
+    std::span<const TrackPass> passes, int retries) const {
   const MediaGeometry& g = plane_->geometry();
   const size_t sectors = static_cast<size_t>(g.sectors_per_track());
   const size_t info_sectors = static_cast<size_t>(g.info_sectors_per_track);
-  assert(wanted.size() == sectors);
+  const size_t payload_bytes = plane_->sector_payload_bytes();
   const DataPlane::StageCounters& counters = plane_->stage_counters();
   ThreadPool* pool = plane_->thread_pool();
 
-  // Determinism contract: the caller's stream advances exactly once. Sector
-  // (t, s), of this track or of a large-group peer, draws its noise from
-  // base.Fork(t * S + s); retry a >= 1 of it adds a * (sectors on the platter)
-  // to that key, so no two images in the pass share a stream. Which sectors
-  // are decoded, and on how many threads, never changes what any sector sees.
-  const Rng base = rng;
-  rng.NextU64();
+  // Determinism contract: sector (t, s), of a pass's track or of a large-group
+  // peer, draws its noise from base.Fork(t * S + s) of that track pass; retry
+  // a >= 1 of it adds a * (sectors on the platter) to that key, so no two
+  // images of a track pass share a stream. Which sectors are decoded, in
+  // which fan-out, and on how many threads never changes what any sector sees.
   const size_t sector_keys = static_cast<size_t>(g.tracks_per_platter()) * sectors;
-  auto decode = [&](size_t t, size_t s, int attempt) {
-    Rng noise = base.Fork(static_cast<size_t>(attempt) * sector_keys + t * sectors + s);
-    return DecodeSector(platter, {static_cast<int>(t), static_cast<int>(s)}, noise);
-  };
-  // Counters are not thread-safe, so fan-outs only write their own slots and
-  // tallies run after.
-  auto tally = [&](uint64_t ReadStats::*field, Counter* counter, uint64_t n) {
-    if (stats != nullptr) {
-      stats->*field += n;
-    }
-    if (counter != nullptr) {
-      counter->Increment(static_cast<double>(n));
-    }
+  auto decode = [&](const TrackPass& pass, size_t t, size_t s, int attempt) {
+    Rng noise =
+        pass.base.Fork(static_cast<size_t>(attempt) * sector_keys + t * sectors + s);
+    return DecodeSector(*pass.platter, {static_cast<int>(t), static_cast<int>(s)},
+                        noise);
   };
 
-  std::vector<std::optional<std::vector<uint8_t>>> decoded(sectors);
-  std::vector<uint8_t> attempted(sectors, 0);
-  const auto decode_start = std::chrono::steady_clock::now();
-  // Decodes every not-yet-attempted sector `pick` selects.
-  auto decode_pass = [&](auto pick) {
-    std::vector<size_t> todo;
-    for (size_t s = 0; s < sectors; ++s) {
-      if (!attempted[s] && pick(s)) {
-        attempted[s] = 1;
-        todo.push_back(s);
+  for ([[maybe_unused]] const TrackPass& pass : passes) {
+    assert(pass.wanted.size() == sectors);
+  }
+  std::vector<TrackRead> reads(passes.size());
+  std::vector<std::vector<uint8_t>> attempted(passes.size(),
+                                              std::vector<uint8_t>(sectors, 0));
+  for (TrackRead& read : reads) {
+    read.payloads.resize(sectors);
+  }
+  // Fan-outs only write their own slots; stats are tallied after each one.
+  // Decodes every not-yet-attempted sector `pick(pass, sector)` selects.
+  auto decode_all = [&](auto pick) {
+    std::vector<std::pair<size_t, size_t>> todo;
+    for (size_t p = 0; p < passes.size(); ++p) {
+      for (size_t s = 0; s < sectors; ++s) {
+        if (!attempted[p][s] && pick(p, s)) {
+          attempted[p][s] = 1;
+          todo.emplace_back(p, s);
+        }
       }
     }
     ParallelFor(pool, todo.size(), [&](size_t i) {
-      decoded[todo[i]] = decode(static_cast<size_t>(track), todo[i], 0);
+      const auto [p, s] = todo[i];
+      reads[p].payloads[s] =
+          decode(passes[p], static_cast<size_t>(passes[p].track), s, 0);
     });
   };
-  decode_pass([&](size_t s) { return wanted[s] != 0; });
+  const auto decode_start = std::chrono::steady_clock::now();
+  decode_all([&](size_t p, size_t s) { return passes[p].wanted[s] != 0; });
   // Fallback: a failed wanted information sector needs NC, which needs the rest
-  // of the track, so from here on the read is exactly a full-track read.
-  for (size_t s = 0; s < info_sectors; ++s) {
-    if (wanted[s] && !decoded[s]) {
-      decode_pass([](size_t) { return true; });
-      break;
+  // of its track, so from here on that track pass is a full-track read.
+  std::vector<uint8_t> fallback(passes.size(), 0);
+  for (size_t p = 0; p < passes.size(); ++p) {
+    for (size_t s = 0; s < info_sectors; ++s) {
+      fallback[p] |= passes[p].wanted[s] && !reads[p].payloads[s] ? 1 : 0;
     }
   }
+  decode_all([&](size_t p, size_t) { return fallback[p] != 0; });
   const double wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - decode_start)
           .count();
+
+  // Without the fallback no attempted information sector failed, so nothing is
+  // missing and the unattempted ones stay nullopt.
+  std::vector<std::vector<size_t>> missing(passes.size());
   uint64_t sectors_decoded = 0;
-  uint64_t failures = 0;
-  for (size_t s = 0; s < sectors; ++s) {
-    sectors_decoded += attempted[s];
-    failures += attempted[s] && !decoded[s];
+  for (size_t p = 0; p < passes.size(); ++p) {
+    ReadStats& stats = reads[p].stats;
+    for (size_t s = 0; s < sectors; ++s) {
+      const bool failed = attempted[p][s] && !reads[p].payloads[s];
+      stats.sectors_read += attempted[p][s];
+      stats.ldpc_failures += failed;
+      if (failed && s < info_sectors) {
+        missing[p].push_back(s);
+      }
+    }
+    sectors_decoded += stats.sectors_read;
   }
-  tally(&ReadStats::sectors_read, counters.sectors_read, sectors_decoded);
-  tally(&ReadStats::ldpc_failures, counters.ldpc_failures, failures);
   if (counters.decode_wall_seconds != nullptr) {
     counters.decode_wall_seconds->Set(wall_seconds);
   }
@@ -288,33 +349,39 @@ std::vector<std::optional<std::vector<uint8_t>>> PlatterReader::ReadTrack(
                                      wall_seconds);
   }
 
-  // Without the fallback no attempted information sector failed, so nothing is
-  // missing and the unattempted ones stay nullopt.
-  std::vector<size_t> missing;
-  for (size_t s = 0; s < info_sectors; ++s) {
-    if (attempted[s] && !decoded[s]) {
-      missing.push_back(s);
+  // Tier 0: re-image each failed information sector; marginal sectors on aged
+  // glass often decode on a fresh noise draw.
+  if (retries > 0) {
+    std::vector<std::pair<size_t, size_t>> failed;
+    for (size_t p = 0; p < passes.size(); ++p) {
+      for (const size_t s : missing[p]) {
+        failed.emplace_back(p, s);
+      }
+    }
+    std::vector<int> tries(failed.size(), 0);
+    ParallelFor(pool, failed.size(), [&](size_t i) {
+      const auto [p, s] = failed[i];
+      auto& payload = reads[p].payloads[s];
+      while (!payload && tries[i] < retries) {
+        payload = decode(passes[p], static_cast<size_t>(passes[p].track), s, ++tries[i]);
+      }
+    });
+    for (size_t i = 0; i < failed.size(); ++i) {
+      ReadStats& stats = reads[failed[i].first].stats;
+      stats.recovery_reads += static_cast<uint64_t>(tries[i]);
+      stats.ldpc_retry_recoveries += reads[failed[i].first].payloads[failed[i].second] ? 1 : 0;
+    }
+    for (size_t p = 0; p < passes.size(); ++p) {
+      std::erase_if(missing[p], [&](size_t s) { return reads[p].payloads[s].has_value(); });
     }
   }
 
-  // Tier 0: re-image each failed information sector; marginal sectors on aged
-  // glass often decode on a fresh noise draw.
-  if (retries > 0 && !missing.empty()) {
-    std::vector<int> tries(missing.size(), 0);
-    ParallelFor(pool, missing.size(), [&](size_t i) {
-      while (!decoded[missing[i]] && tries[i] < retries) {
-        decoded[missing[i]] = decode(static_cast<size_t>(track), missing[i], ++tries[i]);
-      }
-    });
-    const size_t before = missing.size();
-    std::erase_if(missing, [&](size_t s) { return decoded[s].has_value(); });
-    tally(&ReadStats::recovery_reads, counters.recovery_reads,
-          static_cast<uint64_t>(std::accumulate(tries.begin(), tries.end(), 0)));
-    tally(&ReadStats::ldpc_retry_recoveries, nullptr, before - missing.size());
-  }
-
-  // Tier 1: within-track NC over every sector that decoded.
-  if (!missing.empty()) {
+  // Tier 1: within-track NC over every sector of the track that decoded.
+  for (size_t p = 0; p < passes.size(); ++p) {
+    if (missing[p].empty()) {
+      continue;
+    }
+    TrackPayloads& decoded = reads[p].payloads;
     std::vector<size_t> present_indices;
     std::vector<std::span<const uint8_t>> present;
     for (size_t s = 0; s < sectors; ++s) {
@@ -323,121 +390,220 @@ std::vector<std::optional<std::vector<uint8_t>>> PlatterReader::ReadTrack(
         present.emplace_back(*decoded[s]);
       }
     }
-    std::vector<std::vector<uint8_t>> recovered(
-        missing.size(), std::vector<uint8_t>(plane_->sector_payload_bytes()));
+    std::vector<std::vector<uint8_t>> recovered(missing[p].size(),
+                                                std::vector<uint8_t>(payload_bytes));
     std::vector<std::span<uint8_t>> recovered_views(recovered.begin(), recovered.end());
-    if (plane_->track_codec().Reconstruct(present_indices, present, missing,
+    if (plane_->track_codec().Reconstruct(present_indices, present, missing[p],
                                           recovered_views, pool)) {
-      for (size_t m = 0; m < missing.size(); ++m) {
-        decoded[missing[m]] = std::move(recovered[m]);
+      for (size_t m = 0; m < missing[p].size(); ++m) {
+        decoded[missing[p][m]] = std::move(recovered[m]);
       }
-      tally(&ReadStats::track_nc_recoveries, counters.track_nc_recoveries,
-            missing.size());
-      missing.clear();
+      reads[p].stats.track_nc_recoveries += missing[p].size();
+      missing[p].clear();
     }
   }
 
+  if (std::all_of(missing.begin(), missing.end(),
+                  [](const std::vector<size_t>& m) { return m.empty(); })) {
+    return reads;
+  }
+
   // Tier 2: the large group across tracks, per missing sector position (only
-  // information tracks belong to large groups).
-  if (!missing.empty() && track < g.info_tracks_per_platter) {
-    if (stats != nullptr) {
-      stats->used_large_group = true;
-    }
-    const size_t group_info = static_cast<size_t>(g.large_group_info_tracks);
-    const size_t group_red = static_cast<size_t>(g.large_group_redundancy_tracks);
-    const size_t info_tracks = static_cast<size_t>(g.info_tracks_per_platter);
-    const size_t grp = static_cast<size_t>(track) / group_info;
-    const size_t my_offset = static_cast<size_t>(track) % group_info;
-    // The group's other shards in codec order: information tracks, then
-    // redundancy tracks. Information slots past the platter's last track
-    // (kPadding) pad a short final group with zeros and are never read.
-    constexpr size_t kPadding = SIZE_MAX;
-    std::vector<size_t> peer_index;
-    std::vector<size_t> peer_track;
-    for (size_t i = 0; i < group_info + group_red; ++i) {
-      if (i == my_offset) {
-        continue;
-      }
-      size_t t = i < group_info ? grp * group_info + i
-                                : info_tracks + grp * group_red + (i - group_info);
-      if (i < group_info && t >= info_tracks) {
-        t = kPadding;
-      }
-      peer_index.push_back(i);
-      peer_track.push_back(t);
-    }
-    const uint64_t peer_reads = static_cast<uint64_t>(
-        peer_track.size() - std::count(peer_track.begin(), peer_track.end(), kPadding));
-    const std::vector<uint8_t> zero_payload(plane_->sector_payload_bytes(), 0);
-    for (const size_t pos : missing) {
-      std::vector<std::optional<std::vector<uint8_t>>> shards(peer_track.size());
-      ParallelFor(pool, peer_track.size(), [&](size_t k) {
-        shards[k] = peer_track[k] == kPadding ? zero_payload : decode(peer_track[k], pos, 0);
-      });
-      tally(&ReadStats::recovery_reads, counters.recovery_reads, peer_reads);
-      std::vector<size_t> present_indices;
-      std::vector<std::span<const uint8_t>> present;
-      for (size_t k = 0; k < shards.size(); ++k) {
-        if (shards[k]) {
-          present_indices.push_back(peer_index[k]);
-          present.emplace_back(*shards[k]);
-        }
-      }
-      std::vector<uint8_t> recovered(plane_->sector_payload_bytes());
-      std::span<uint8_t> recovered_view(recovered);
-      const std::vector<size_t> want = {my_offset};
-      if (plane_->large_group_codec().Reconstruct(
-              present_indices, present, want,
-              std::span<const std::span<uint8_t>>(&recovered_view, 1), pool)) {
-        decoded[pos] = std::move(recovered);
-        tally(&ReadStats::large_nc_recoveries, counters.large_nc_recoveries, 1);
-      }
+  // information tracks belong to large groups). A group's shards in codec
+  // order are its information tracks, then its redundancy tracks; information
+  // slots past the platter's last track pad a short final group with zeros.
+  const size_t group_info = static_cast<size_t>(g.large_group_info_tracks);
+  const size_t group_red = static_cast<size_t>(g.large_group_redundancy_tracks);
+  const size_t info_tracks = static_cast<size_t>(g.info_tracks_per_platter);
+  // The pass's whole-track reads, by platter and track: their sectors are
+  // lent to large-group peers instead of imaged again.
+  std::map<std::pair<const GlassPlatter*, size_t>, size_t> whole_tracks;
+  for (size_t p = 0; p < passes.size(); ++p) {
+    const auto& wanted = passes[p].wanted;
+    if (std::all_of(wanted.begin(), wanted.end(), [](uint8_t w) { return w != 0; })) {
+      whole_tracks.try_emplace({passes[p].platter, static_cast<size_t>(passes[p].track)},
+                               p);
     }
   }
-  return decoded;
+  // One reconstruction per missing (pass, position); each shard is lent by the
+  // pass, padding, or an image in `images`.
+  struct Shard {
+    size_t index = 0;                                // codec shard index
+    const std::optional<std::vector<uint8_t>>* lent = nullptr;
+    size_t image = SIZE_MAX;                         // into `images`
+  };
+  struct Rebuild {
+    size_t pass = 0;
+    size_t pos = 0;
+    size_t my_offset = 0;
+    std::vector<Shard> shards;
+  };
+  struct Image {
+    size_t pass = 0;
+    size_t track = 0;
+    size_t pos = 0;
+    std::optional<std::vector<uint8_t>> payload;
+  };
+  const std::optional<std::vector<uint8_t>> zero_payload(std::vector<uint8_t>(payload_bytes, 0));
+  std::vector<Rebuild> rebuilds;
+  std::vector<Image> images;
+  for (size_t p = 0; p < passes.size(); ++p) {
+    const size_t track = static_cast<size_t>(passes[p].track);
+    if (missing[p].empty() || track >= info_tracks) {
+      continue;
+    }
+    reads[p].stats.used_large_group = true;
+    const size_t grp = track / group_info;
+    for (const size_t pos : missing[p]) {
+      Rebuild rebuild{p, pos, track % group_info, {}};
+      for (size_t i = 0; i < group_info + group_red; ++i) {
+        if (i == rebuild.my_offset) {
+          continue;
+        }
+        Shard shard{.index = i};
+        const size_t t = i < group_info ? grp * group_info + i
+                                        : info_tracks + grp * group_red + (i - group_info);
+        if (i < group_info && t >= info_tracks) {
+          shard.lent = &zero_payload;
+        } else if (const auto it = whole_tracks.find({passes[p].platter, t});
+                   it != whole_tracks.end()) {
+          shard.lent = &reads[it->second].payloads[pos];
+        } else {
+          shard.image = images.size();
+          images.push_back(Image{p, t, pos, std::nullopt});
+          ++reads[p].stats.recovery_reads;
+        }
+        rebuild.shards.push_back(shard);
+      }
+      rebuilds.push_back(std::move(rebuild));
+    }
+  }
+  ParallelFor(pool, images.size(), [&](size_t i) {
+    images[i].payload = decode(passes[images[i].pass], images[i].track, images[i].pos, 0);
+  });
+  // Reconstruct from the lent shards as they stand after tiers 0-1, and only
+  // then store the results, so no rebuild sees another's.
+  std::vector<std::optional<std::vector<uint8_t>>> rebuilt(rebuilds.size());
+  for (size_t r = 0; r < rebuilds.size(); ++r) {
+    std::vector<size_t> present_indices;
+    std::vector<std::span<const uint8_t>> present;
+    for (const Shard& shard : rebuilds[r].shards) {
+      const auto& payload = shard.lent != nullptr ? *shard.lent : images[shard.image].payload;
+      if (payload) {
+        present_indices.push_back(shard.index);
+        present.emplace_back(*payload);
+      }
+    }
+    std::vector<uint8_t> recovered(payload_bytes);
+    std::span<uint8_t> recovered_view(recovered);
+    const std::vector<size_t> want = {rebuilds[r].my_offset};
+    if (plane_->large_group_codec().Reconstruct(
+            present_indices, present, want,
+            std::span<const std::span<uint8_t>>(&recovered_view, 1), pool)) {
+      rebuilt[r] = std::move(recovered);
+    }
+  }
+  for (size_t r = 0; r < rebuilds.size(); ++r) {
+    if (rebuilt[r]) {
+      reads[rebuilds[r].pass].payloads[rebuilds[r].pos] = std::move(rebuilt[r]);
+      ++reads[rebuilds[r].pass].stats.large_nc_recoveries;
+    }
+  }
+  return reads;
 }
 
 std::optional<std::vector<uint8_t>> PlatterReader::ReadFile(
     const GlassPlatter& platter, const PlatterFileEntry& entry, Rng& rng,
+    ReadStats* stats) const {
+  return std::move(ReadFiles(platter, {&entry, 1}, rng, stats).front());
+}
+
+std::vector<std::optional<std::vector<uint8_t>>> PlatterReader::ReadFiles(
+    const GlassPlatter& platter, std::span<const PlatterFileEntry> entries, Rng& rng,
     ReadStats* stats) const {
   const MediaGeometry& g = plane_->geometry();
   const uint64_t payload_bytes = plane_->sector_payload_bytes();
   const uint64_t per_track = static_cast<uint64_t>(g.info_sectors_per_track);
   const uint64_t capacity =
       static_cast<uint64_t>(g.info_tracks_per_platter) * per_track;
-  const uint64_t need = std::max<uint64_t>(
-      1, entry.size_bytes / payload_bytes + (entry.size_bytes % payload_bytes != 0));
-  const uint64_t first = entry.start_sector_index;
-  if (first > capacity || need > capacity - first) {
-    throw std::out_of_range("PlatterReader: file " + std::to_string(entry.file_id) +
-                            " ('" + entry.name +
-                            "') extends past the platter's information sectors");
-  }
-  const uint64_t end = first + need;
-
-  std::vector<uint8_t> out;
-  out.reserve(entry.size_bytes);
-  std::vector<uint8_t> wanted(static_cast<size_t>(g.sectors_per_track()));
-  // The extent touches consecutive tracks; read each once, in order, decoding
-  // only the file's sectors. An unrecoverable sector stops before the next track
-  // is read.
-  for (uint64_t lo = first, hi = 0; lo < end; lo = hi) {
-    hi = std::min(end, (lo / per_track + 1) * per_track);
-    std::fill(wanted.begin(), wanted.end(), 0);
-    for (uint64_t i = lo; i < hi; ++i) {
-      wanted[static_cast<size_t>(SerpentineSectorAddress(g, i).sector)] = 1;
+  // Each file's serpentine sector extent [first, end).
+  std::vector<std::pair<uint64_t, uint64_t>> extents;
+  for (const PlatterFileEntry& entry : entries) {
+    const uint64_t need = std::max<uint64_t>(
+        1, entry.size_bytes / payload_bytes + (entry.size_bytes % payload_bytes != 0));
+    const uint64_t first = entry.start_sector_index;
+    if (first > capacity || need > capacity - first) {
+      throw std::out_of_range("PlatterReader: file " + std::to_string(entry.file_id) +
+                              " ('" + entry.name +
+                              "') extends past the platter's information sectors");
     }
-    const int track = SerpentineSectorAddress(g, lo).track;
-    const auto payloads = ReadTrack(platter, track, wanted, rng, stats);
-    for (uint64_t i = lo; i < hi; ++i) {
-      const auto& payload =
-          payloads[static_cast<size_t>(SerpentineSectorAddress(g, i).sector)];
-      if (!payload) {
-        return std::nullopt;  // unrecoverable on-platter
+    extents.emplace_back(first, first + need);
+  }
+  // A file's extent touches consecutive tracks; calls fn(lo, hi) for the
+  // sector range [lo, hi) of each, in order, until fn returns false.
+  auto for_each_track = [&](size_t f, auto fn) {
+    const auto [first, end] = extents[f];
+    for (uint64_t lo = first, hi = 0; lo < end; lo = hi) {
+      hi = std::min(end, (lo / per_track + 1) * per_track);
+      if (!fn(lo, hi)) {
+        return;
       }
-      const size_t len = static_cast<size_t>(
-          std::min(payload_bytes, entry.size_bytes - (i - first) * payload_bytes));
-      out.insert(out.end(), payload->begin(), payload->begin() + static_cast<long>(len));
+    }
+  };
+
+  // ReadFile reads each touched track once, in order, decoding only the file's
+  // sectors, and stops before the next track once a sector is unrecoverable.
+  // A pass plans every remaining file's tracks as though none stops; when one
+  // does stop early, the tracks planned after it drew the wrong bases, so the
+  // files after it are planned and read again from the stream state there.
+  std::vector<std::optional<std::vector<uint8_t>>> out(entries.size());
+  for (size_t next = 0; next < entries.size();) {
+    std::vector<TrackPass> passes;
+    for (size_t f = next; f < entries.size(); ++f) {
+      for_each_track(f, [&](uint64_t lo, uint64_t hi) {
+        std::vector<uint8_t> wanted(static_cast<size_t>(g.sectors_per_track()), 0);
+        for (uint64_t i = lo; i < hi; ++i) {
+          wanted[static_cast<size_t>(SerpentineSectorAddress(g, i).sector)] = 1;
+        }
+        passes.push_back(
+            PlanTrack(platter, SerpentineSectorAddress(g, lo).track, std::move(wanted), rng));
+        return true;
+      });
+    }
+    const std::vector<TrackRead> reads = ReadPass(passes);
+    size_t p = 0;
+    const size_t from = next;
+    next = entries.size();
+    for (size_t f = from; f < next; ++f) {
+      const PlatterFileEntry& entry = entries[f];
+      const uint64_t first = extents[f].first;
+      std::vector<uint8_t> bytes;
+      bytes.reserve(entry.size_bytes);
+      bool lost = false;
+      for_each_track(f, [&](uint64_t lo, uint64_t hi) {
+        const TrackRead& read = reads[p++];
+        Account(read.stats, stats, /*recovery=*/false);
+        for (uint64_t i = lo; i < hi && !lost; ++i) {
+          const auto& payload =
+              read.payloads[static_cast<size_t>(SerpentineSectorAddress(g, i).sector)];
+          if (!payload) {
+            lost = true;  // unrecoverable on-platter
+            break;
+          }
+          const size_t len = static_cast<size_t>(
+              std::min(payload_bytes, entry.size_bytes - (i - first) * payload_bytes));
+          bytes.insert(bytes.end(), payload->begin(),
+                       payload->begin() + static_cast<long>(len));
+        }
+        if (lost && hi < extents[f].second) {
+          rng = passes[p].base;  // the stream as it stood after this track
+          next = f + 1;
+        }
+        return !lost;
+      });
+      if (!lost) {
+        out[f] = std::move(bytes);
+      }
     }
   }
   return out;
@@ -446,19 +612,21 @@ std::optional<std::vector<uint8_t>> PlatterReader::ReadFile(
 VerifyReport PlatterVerifier::Verify(const GlassPlatter& platter, Rng& rng) const {
   const MediaGeometry& g = plane_->geometry();
   PlatterReader reader(*plane_);
-  VerifyReport report;
+  // Every track in one pass: a large-group peer is lent by its own track read.
+  const std::vector<uint8_t> every_sector(static_cast<size_t>(g.sectors_per_track()), 1);
+  std::vector<PlatterReader::TrackPass> passes;
   for (int t = 0; t < g.tracks_per_platter(); ++t) {
-    ReadStats stats;
-    const auto decoded = reader.ReadTrackPayloads(platter, t, rng, &stats);
-    report.sectors_total += stats.sectors_read;
-    report.sector_erasures += stats.ldpc_failures;
-    report.track_nc_recoveries += stats.track_nc_recoveries;
-    report.large_nc_recoveries += stats.large_nc_recoveries;
-    for (const auto& payload : decoded) {
-      if (!payload) {
-        ++report.unrecoverable_sectors;
-      }
-    }
+    passes.push_back(PlatterReader::PlanTrack(platter, t, every_sector, rng));
+  }
+  VerifyReport report;
+  for (const PlatterReader::TrackRead& read : reader.ReadPass(passes)) {
+    reader.Account(read.stats, nullptr, /*recovery=*/false);
+    report.sectors_total += read.stats.sectors_read;
+    report.sector_erasures += read.stats.ldpc_failures;
+    report.track_nc_recoveries += read.stats.track_nc_recoveries;
+    report.large_nc_recoveries += read.stats.large_nc_recoveries;
+    report.unrecoverable_sectors += static_cast<uint64_t>(
+        std::count(read.payloads.begin(), read.payloads.end(), std::nullopt));
   }
   report.durable = report.unrecoverable_sectors == 0;
   // Every first-read erasure must be accounted for by exactly one recovery
@@ -536,31 +704,6 @@ std::vector<WrittenPlatter> PlatterSetCodec::EncodeRedundancyPlatters(
   return out;
 }
 
-std::optional<std::vector<std::vector<uint8_t>>> PlatterSetCodec::AllTrackPayloads(
-    const GlassPlatter& platter, int track, Rng& rng, ReadStats* stats) const {
-  PlatterReader reader(*plane_);
-  ReadStats local;
-  auto decoded = reader.ReadTrackPayloads(platter, track, rng, &local);
-  if (stats != nullptr) {
-    // Peer-platter reads are recovery traffic from the caller's perspective;
-    // they must not inflate the caller's nominal sectors_read.
-    stats->recovery_reads += local.sectors_read + local.recovery_reads;
-  }
-  if (plane_->stage_counters().recovery_reads != nullptr) {
-    plane_->stage_counters().recovery_reads->Increment(
-        static_cast<double>(local.sectors_read));
-  }
-  std::vector<std::vector<uint8_t>> out;
-  out.reserve(decoded.size());
-  for (auto& payload : decoded) {
-    if (!payload) {
-      return std::nullopt;
-    }
-    out.push_back(std::move(*payload));
-  }
-  return out;
-}
-
 std::optional<std::vector<std::vector<uint8_t>>> PlatterSetCodec::RecoverTrack(
     const std::vector<const GlassPlatter*>& available_info,
     const std::vector<size_t>& available_info_indices,
@@ -592,19 +735,62 @@ std::optional<std::vector<std::vector<uint8_t>>> PlatterSetCodec::RecoverTrack(
   const size_t payload_bytes = plane_->sector_payload_bytes();
   const size_t words = (payload_bytes + 1) / 2;
 
+  // Reads `track` of each platter whole in one pass, as recovery reads, in
+  // order, one stream advance each; nullopt for a platter whose track some
+  // sector of stays unreadable.
+  PlatterReader reader(*plane_);
+  const std::vector<uint8_t> every_sector(sectors, 1);
+  auto read_tracks = [&](std::span<const GlassPlatter* const> platters) {
+    std::vector<PlatterReader::TrackPass> passes;
+    for (const GlassPlatter* platter : platters) {
+      passes.push_back(PlatterReader::PlanTrack(*platter, track, every_sector, rng));
+    }
+    std::vector<std::optional<std::vector<std::vector<uint16_t>>>> track_words(
+        platters.size());
+    std::vector<PlatterReader::TrackRead> reads = reader.ReadPass(passes);
+    for (size_t i = 0; i < reads.size(); ++i) {
+      reader.Account(reads[i].stats, stats, /*recovery=*/true);
+      const auto& payloads = reads[i].payloads;
+      if (std::all_of(payloads.begin(), payloads.end(),
+                      [](const auto& payload) { return payload.has_value(); })) {
+        auto& shards = track_words[i].emplace();
+        for (const auto& payload : payloads) {
+          shards.push_back(BytesToWords(*payload));
+        }
+      }
+    }
+    return track_words;
+  };
+
+  // One pass reads the available information platters and the redundancy
+  // platters that square the system if all of those read; the caller-error
+  // case (the "missing" platter provided) reads no redundancy up front.
+  std::vector<uint8_t> provided(static_cast<size_t>(set_.info), 0);
+  for (const size_t p : available_info_indices) {
+    provided[p] = 1;
+  }
+  const size_t expected_red = std::min<size_t>(
+      provided[missing_info_index]
+          ? 0
+          : static_cast<size_t>(std::count(provided.begin(), provided.end(), 0)),
+      available_redundancy.size());
+  std::vector<const GlassPlatter*> first_pass = available_info;
+  first_pass.insert(first_pass.end(), available_redundancy.begin(),
+                    available_redundancy.begin() + static_cast<long>(expected_red));
+  auto first_words = read_tracks(first_pass);
+
   // Assemble the group's information shards; the missing platter's shards (and any
-  // unavailable platters') are the unknowns.
+  // unreadable platters') are the unknowns.
   std::vector<std::vector<uint16_t>> info_words(
       static_cast<size_t>(set_.info) * sectors, std::vector<uint16_t>(words, 0));
   std::vector<uint8_t> have(static_cast<size_t>(set_.info), 0);
   for (size_t i = 0; i < available_info.size(); ++i) {
-    const size_t p = available_info_indices[i];
-    auto payloads = AllTrackPayloads(*available_info[i], track, rng, stats);
-    if (!payloads) {
+    if (!first_words[i]) {
       continue;  // platter unreadable at this track; treat as missing
     }
+    const size_t p = available_info_indices[i];
     for (size_t s = 0; s < sectors; ++s) {
-      info_words[p * sectors + s] = BytesToWords((*payloads)[s]);
+      info_words[p * sectors + s] = std::move((*first_words[i])[s]);
     }
     have[p] = 1;
   }
@@ -621,22 +807,27 @@ std::optional<std::vector<std::vector<uint8_t>>> PlatterSetCodec::RecoverTrack(
     return std::nullopt;  // caller error: the "missing" platter was provided
   }
 
-  // Decode surviving redundancy shards, in platter order, only until there
-  // are as many as unknowns (a square system); a platter whose track is
-  // unreadable yields none and the next one is read instead.
+  // Surviving redundancy shards, in platter order, only until there are as
+  // many as unknowns (a square system); a platter whose track is unreadable
+  // yields none and the next one is read, on its own, instead.
   std::vector<size_t> red_indices;
   std::vector<std::vector<uint16_t>> red_words;
-  for (size_t i = 0;
-       i < available_redundancy.size() && red_indices.size() < missing.size(); ++i) {
-    const size_t r = available_redundancy_indices[i];
-    auto payloads = AllTrackPayloads(*available_redundancy[i], track, rng, stats);
-    if (!payloads) {
-      continue;
+  auto add_redundancy = [&](size_t i,
+                            std::optional<std::vector<std::vector<uint16_t>>>& shards) {
+    if (!shards) {
+      return;
     }
     for (size_t s = 0; s < sectors; ++s) {
-      red_indices.push_back(r * sectors + s);
-      red_words.push_back(BytesToWords((*payloads)[s]));
+      red_indices.push_back(available_redundancy_indices[i] * sectors + s);
+      red_words.push_back(std::move((*shards)[s]));
     }
+  };
+  for (size_t i = 0; i < expected_red; ++i) {
+    add_redundancy(i, first_words[available_info.size() + i]);
+  }
+  for (size_t i = expected_red;
+       i < available_redundancy.size() && red_indices.size() < missing.size(); ++i) {
+    add_redundancy(i, read_tracks({&available_redundancy[i], 1}).front());
   }
   if (red_indices.size() < missing.size()) {
     return std::nullopt;  // set lost beyond R_p tolerance

@@ -84,8 +84,8 @@ class DataPlane {
     Counter* platter_set_recoveries = nullptr;
     Counter* recovery_reads = nullptr;
     Counter* platters_verified = nullptr;
-    Gauge* decode_wall_seconds = nullptr;   // wall time of the last track decode
-    Gauge* sectors_per_second = nullptr;    // throughput of the last track decode
+    Gauge* decode_wall_seconds = nullptr;   // wall time of the last pass's decodes
+    Gauge* sectors_per_second = nullptr;    // throughput of the last pass's decodes
   };
   const StageCounters& stage_counters() const { return stage_counters_; }
 
@@ -165,6 +165,14 @@ class PlatterReader {
                                                Rng& rng,
                                                ReadStats* stats = nullptr) const;
 
+  // Reads several files of one platter as one read pass. Returns, and advances
+  // `rng` to, exactly what a loop of ReadFile calls over `entries` in order
+  // would, with the same stats. Throws std::out_of_range before reading
+  // anything if an entry extends past the information sectors.
+  std::vector<std::optional<std::vector<uint8_t>>> ReadFiles(
+      const GlassPlatter& platter, std::span<const PlatterFileEntry> entries, Rng& rng,
+      ReadStats* stats = nullptr) const;
+
   // Decodes every information-sector payload of a track, recovering erasures with
   // within-track NC. Entries that stay unrecoverable are nullopt.
   std::vector<std::optional<std::vector<uint8_t>>> ReadTrackPayloads(
@@ -172,14 +180,48 @@ class PlatterReader {
       ReadStats* stats = nullptr) const;
 
  private:
-  // The one track read: decodes the sectors `wanted` marks (nonzero). If a
-  // wanted information sector fails, the rest of the track is decoded and the
-  // recovery ladder runs: up to `retries` re-images of each failed information
-  // sector, then within-track NC, then the large group. Otherwise unwanted
-  // entries stay nullopt. Advances `rng` exactly once.
-  std::vector<std::optional<std::vector<uint8_t>>> ReadTrack(
-      const GlassPlatter& platter, int track, std::span<const uint8_t> wanted,
-      Rng& rng, ReadStats* stats, int retries = 0) const;
+  using TrackPayloads = std::vector<std::optional<std::vector<uint8_t>>>;
+
+  // One track of a read pass: the sectors of `track` on `platter` that `wanted`
+  // marks (nonzero), and the base every image of the track forks its noise from.
+  struct TrackPass {
+    const GlassPlatter* platter = nullptr;
+    int track = 0;
+    std::vector<uint8_t> wanted;
+    Rng base;
+  };
+  struct TrackRead {
+    TrackPayloads payloads;  // one entry per sector of the track
+    ReadStats stats;
+  };
+
+  // A track pass whose base is `rng`'s state; advances `rng` exactly once, as
+  // one sequential track read does.
+  static TrackPass PlanTrack(const GlassPlatter& platter, int track,
+                             std::vector<uint8_t> wanted, Rng& rng);
+
+  // The read-pass engine. Decodes every wanted sector of every track pass in
+  // one fan-out, then the rest of each track a failed wanted information
+  // sector needs (one more fan-out), then runs per track pass the recovery
+  // ladder: up to `retries` re-images of each failed information sector, then
+  // within-track NC, then the large group. The large group decodes the peers
+  // of every missing position of the pass in one fan-out; a peer track that
+  // the pass reads whole on the same platter is not imaged again but lent
+  // as it stands after its own retries and within-track NC. Unwanted sectors
+  // of a track with no failed wanted information sector stay nullopt. Touches
+  // no counter: callers Account() the reads they keep.
+  std::vector<TrackRead> ReadPass(std::span<const TrackPass> passes,
+                                  int retries = 0) const;
+
+  // Adds one track read's stats to `stats` (if given) and to the plane's stage
+  // counters. A recovery read (a peer platter's track read on behalf of another
+  // platter) counts its decodes as recovery reads only, never as sectors read.
+  void Account(const ReadStats& read, ReadStats* stats, bool recovery) const;
+
+  // ReadPass over one track pass planned from `rng`, accounted as a nominal read.
+  TrackPayloads ReadTrack(const GlassPlatter& platter, int track,
+                          std::span<const uint8_t> wanted, Rng& rng, ReadStats* stats,
+                          int retries = 0) const;
 
   // Images one sector through the read channel, then soft demap + LDPC +
   // checksum. `rng` is the sector's own noise stream.
@@ -188,6 +230,8 @@ class PlatterReader {
                                                    Rng& rng) const;
 
   friend class PlatterRepairer;
+  friend class PlatterVerifier;
+  friend class PlatterSetCodec;
   const DataPlane* plane_;
 };
 
@@ -240,7 +284,9 @@ class PlatterSetCodec {
   // (identified by its index in the set, 0-based among information platters) from
   // the other platters. Requires at least I_p readable platters among the rest.
   // Redundancy platters are read in the given order and only until they cover
-  // the unknown shards; one whose track is unreadable is skipped. `stats`, when
+  // the unknown shards; one whose track is unreadable is skipped. The
+  // information tracks and the redundancy tracks expected to cover the unknowns
+  // are read as one pass; each later redundancy track on its own. `stats`, when
   // given, accumulates the peer reads this recovery issued plus
   // platter_set_recoveries for the sectors rebuilt (so callers outside
   // PlatterVerifier still feed the plane's stage counters). Throws
@@ -257,10 +303,6 @@ class PlatterSetCodec {
   const LargeGroupCodec& group_codec() const { return codec_; }
 
  private:
-  // Payload of every sector (info + within-track redundancy) of a track, decoded.
-  std::optional<std::vector<std::vector<uint8_t>>> AllTrackPayloads(
-      const GlassPlatter& platter, int track, Rng& rng, ReadStats* stats) const;
-
   const DataPlane* plane_;
   PlatterSetConfig set_;
   LargeGroupCodec codec_;

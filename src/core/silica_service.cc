@@ -4,6 +4,7 @@
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 
 #include "ecc/simd/gf256_kernels.h"
 #include "telemetry/telemetry.h"
@@ -204,7 +205,8 @@ std::optional<std::vector<uint8_t>> SilicaService::Get(const std::string& name) 
     return std::nullopt;
   }
   if (it->second.unavailable) {
-    return ReadViaRecovery(*version);
+    RecoveredTracks recovered;
+    return ReadViaRecovery(*version, recovered);
   }
   PlatterFileEntry entry;
   entry.name = name;
@@ -241,18 +243,42 @@ SilicaService::BatchReadResult SilicaService::BatchGet(
       continue;  // stale metadata; every read of it stays nullopt
     }
     ++result.platter_mounts;
-    for (size_t i : by_platter.at(platter_id)) {
-      const FileVersion& version = *versions[i];
-      if (it->second.unavailable) {
-        result.files[i] = ReadViaRecovery(version);
-        ++result.recovery_reads;
-        continue;
+    // A name repeated in the batch is read once; its later requests copy the
+    // first one's result.
+    const std::vector<size_t>& requests = by_platter.at(platter_id);
+    std::unordered_map<std::string_view, size_t> first_request;
+    std::vector<size_t> distinct;
+    for (size_t i : requests) {
+      if (first_request.try_emplace(names[i], i).second) {
+        distinct.push_back(i);
       }
-      PlatterFileEntry entry;
-      entry.name = names[i];
-      entry.start_sector_index = version.start_sector_index;
-      entry.size_bytes = version.bytes;
-      result.files[i] = reader_.ReadFile(it->second.written.platter, entry, rng_);
+    }
+    if (it->second.unavailable) {
+      // Every track of the unavailable platter is rebuilt at most once.
+      RecoveredTracks recovered;
+      for (size_t i : distinct) {
+        result.files[i] = ReadViaRecovery(*versions[i], recovered);
+      }
+      result.recovery_reads += requests.size();
+    } else {
+      std::vector<PlatterFileEntry> entries;
+      entries.reserve(distinct.size());
+      for (size_t i : distinct) {
+        entries.push_back(PlatterFileEntry{.name = names[i],
+                                           .start_sector_index =
+                                               versions[i]->start_sector_index,
+                                           .size_bytes = versions[i]->bytes});
+      }
+      auto files = reader_.ReadFiles(it->second.written.platter, entries, rng_);
+      for (size_t k = 0; k < distinct.size(); ++k) {
+        result.files[distinct[k]] = std::move(files[k]);
+      }
+    }
+    for (size_t i : requests) {
+      const size_t first = first_request.at(names[i]);
+      if (first != i) {
+        result.files[i] = result.files[first];
+      }
     }
   }
   if (batch_mount_counter_ != nullptr) {
@@ -307,7 +333,7 @@ SilicaService::SetPeers SilicaService::GatherSetPeers(
 }
 
 std::optional<std::vector<uint8_t>> SilicaService::ReadViaRecovery(
-    const FileVersion& version) {
+    const FileVersion& version, RecoveredTracks& recovered) {
   const auto& stored = platters_.at(version.platter_id);
   const auto set_it = sets_.find(stored.set_id);
   if (set_it == sets_.end()) {
@@ -323,22 +349,19 @@ std::optional<std::vector<uint8_t>> SilicaService::ReadViaRecovery(
 
   std::vector<uint8_t> out;
   out.reserve(version.bytes);
-  int cached_track = -1;
-  std::vector<std::vector<uint8_t>> track_payloads;
   for (uint64_t s = 0; s < need; ++s) {
     const SectorAddress addr =
         SerpentineSectorAddress(g, version.start_sector_index + s);
-    if (addr.track != cached_track) {
-      auto recovered = set_codec_.RecoverTrack(
+    auto [track, inserted] = recovered.try_emplace(addr.track);
+    if (inserted) {
+      track->second = set_codec_.RecoverTrack(
           peers.info, peers.info_indices, peers.redundancy, peers.redundancy_indices,
           stored.index_in_set, addr.track, rng_);
-      if (!recovered) {
-        return std::nullopt;
-      }
-      track_payloads = std::move(*recovered);
-      cached_track = addr.track;
     }
-    const auto& payload = track_payloads[static_cast<size_t>(addr.sector)];
+    if (!track->second) {
+      return std::nullopt;
+    }
+    const auto& payload = (*track->second)[static_cast<size_t>(addr.sector)];
     const size_t want = static_cast<size_t>(std::min<uint64_t>(
         payload_bytes, version.bytes - s * payload_bytes));
     out.insert(out.end(), payload.begin(), payload.begin() + static_cast<long>(want));

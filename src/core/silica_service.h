@@ -85,7 +85,10 @@ class SilicaService {
   // one mount serves every file co-located on it (platters are visited in
   // first-appearance order; results come back in request order). The whole
   // batch costs `platter_mounts` mounts, against `names.size()` for the same
-  // reads issued through Get() one at a time.
+  // reads issued through Get() one at a time. A mount's files are read as one
+  // read pass (PlatterReader::ReadFiles); a name repeated in the batch is read
+  // once; and a track of an unavailable platter is rebuilt from its set once,
+  // however many of the batch's files it holds.
   BatchReadResult BatchGet(const std::vector<std::string>& names);
 
   // Logical delete by crypto-shredding. Bumps service_files_shredded_total when
@@ -147,7 +150,14 @@ class SilicaService {
   };
   SetPeers GatherSetPeers(const std::vector<uint64_t>& members, uint64_t self) const;
 
-  std::optional<std::vector<uint8_t>> ReadViaRecovery(const FileVersion& version);
+  // Tracks of one unavailable platter rebuilt from its set, by track; nullopt
+  // records a rebuild that failed.
+  using RecoveredTracks =
+      std::unordered_map<int, std::optional<std::vector<std::vector<uint8_t>>>>;
+  // Rebuilds the tracks a file spans that `recovered` lacks, adds them to it,
+  // then slices out the file's payload bytes.
+  std::optional<std::vector<uint8_t>> ReadViaRecovery(const FileVersion& version,
+                                                      RecoveredTracks& recovered);
 
   ServiceConfig config_;
   std::unique_ptr<ThreadPool> pool_;  // owned; attached to plane_ when threads > 1

@@ -756,5 +756,110 @@ TEST(DataPlaneParallel, LazyReadFileMatchesFullTrackReads) {
   }
 }
 
+// ---------- DataPlane: a multi-file read pass against a loop of ReadFile ----------
+
+// ReadFiles reads a batch as one pass; it must return, and leave the stream
+// and the stats where, a loop of ReadFile calls over the same entries would.
+// A file lost before its last track makes ReadFile stop there, so the batch
+// re-plans the files after it; the aged platter has such a file, and the
+// first batch reads it with files after it.
+TEST(DataPlaneParallel, ReadFilesMatchesSequentialReadFile) {
+  enum class Damage { kPristine, kAged, kEroded };
+  for (const Damage damage : {Damage::kPristine, Damage::kAged, Damage::kEroded}) {
+    DataPlane plane{DataPlaneConfig{}};
+    const MediaGeometry& g = plane.geometry();
+    Rng file_rng(3);
+    std::vector<FileData> files;
+    for (const size_t size : {100u, 1200u, 8000u, 20000u, 700u, 30000u, 4000u}) {
+      FileData f;
+      f.file_id = files.size() + 1;
+      f.name = "batch-" + std::to_string(f.file_id);
+      f.bytes.resize(size);
+      for (auto& b : f.bytes) {
+        b = static_cast<uint8_t>(file_rng.UniformInt(0, 255));
+      }
+      files.push_back(std::move(f));
+    }
+    Rng write_rng(5);
+    auto written = PlatterWriter(plane).WritePlatter(1, files, write_rng);
+    const auto& entries = written.platter.header().files;
+    if (damage == Damage::kAged) {
+      written.platter.AddAgeStress(1.88);
+    }
+    if (damage == Damage::kEroded) {
+      // As in LazyReadFileMatchesFullTrackReads: one sector within-track NC
+      // clears, and R_t + 1 sectors of one track only the large group can.
+      std::vector<size_t> all(static_cast<size_t>(g.voxels_per_sector()));
+      std::iota(all.begin(), all.end(), size_t{0});
+      written.platter.Erode(SerpentineSectorAddress(g, entries[2].start_sector_index), all);
+      const uint64_t per_track = static_cast<uint64_t>(g.info_sectors_per_track);
+      const uint64_t track_start = (entries[5].start_sector_index / per_track + 1) * per_track;
+      for (int k = 0; k <= g.redundancy_sectors_per_track; ++k) {
+        written.platter.Erode(
+            SerpentineSectorAddress(g, track_start + static_cast<uint64_t>(k)), all);
+      }
+    }
+    const uint64_t payload_bytes = plane.sector_payload_bytes();
+    const uint64_t per_track = static_cast<uint64_t>(g.info_sectors_per_track);
+    // Tracks a file's extent touches: the stream advances a full read makes.
+    const auto tracks_of = [&](const PlatterFileEntry& entry) {
+      const uint64_t need =
+          std::max<uint64_t>(1, (entry.size_bytes + payload_bytes - 1) / payload_bytes);
+      const uint64_t first = entry.start_sector_index;
+      return (first + need - 1) / per_track - first / per_track + 1;
+    };
+
+    for (const size_t workers : {0u, 1u, 4u}) {
+      ThreadPool pool(std::max<size_t>(workers, 1));
+      plane.SetThreadPool(workers > 0 ? &pool : nullptr);
+      PlatterReader reader(plane);
+      Rng pick(17);
+      int mid_extent_losses = 0;
+      for (int b = 0; b < 2; ++b) {
+        SCOPED_TRACE("damage " + std::to_string(static_cast<int>(damage)) + ", " +
+                     std::to_string(workers) + " workers, batch " + std::to_string(b));
+        // Every file in platter order first, then random subsets in random order.
+        std::vector<PlatterFileEntry> batch;
+        for (const PlatterFileEntry& entry : entries) {
+          if (b == 0 || pick.Bernoulli(0.6)) {
+            batch.push_back(entry);
+          }
+        }
+        if (b > 0) {
+          pick.Shuffle(batch);
+        }
+        Rng batch_rng(100 + static_cast<uint64_t>(b));
+        Rng loop_rng = batch_rng;
+        ReadStats batch_stats;
+        ReadStats loop_stats;
+        const auto got = reader.ReadFiles(written.platter, batch, batch_rng, &batch_stats);
+        ASSERT_EQ(got.size(), batch.size());
+        for (size_t i = 0; i < batch.size(); ++i) {
+          Rng full = loop_rng;
+          const auto want = reader.ReadFile(written.platter, batch[i], loop_rng, &loop_stats);
+          EXPECT_EQ(got[i], want) << "file " << batch[i].file_id;
+          for (uint64_t t = 0; t < tracks_of(batch[i]); ++t) {
+            full.NextU64();
+          }
+          mid_extent_losses += full.NextU64() != Rng(loop_rng).NextU64() ? 1 : 0;
+        }
+        EXPECT_EQ(batch_rng.NextU64(), loop_rng.NextU64());
+        const ReadStats& a = batch_stats;
+        const ReadStats& l = loop_stats;
+        EXPECT_EQ(std::tie(a.sectors_read, a.ldpc_failures, a.track_nc_recoveries,
+                           a.large_nc_recoveries, a.recovery_reads, a.used_large_group),
+                  std::tie(l.sectors_read, l.ldpc_failures, l.track_nc_recoveries,
+                           l.large_nc_recoveries, l.recovery_reads, l.used_large_group));
+      }
+      if (damage == Damage::kAged) {
+        EXPECT_GT(mid_extent_losses, 0);
+      } else {
+        EXPECT_EQ(mid_extent_losses, 0);
+      }
+      plane.SetThreadPool(nullptr);
+    }
+  }
+}
+
 }  // namespace
 }  // namespace silica

@@ -84,6 +84,64 @@ TEST_F(ServiceTest, UnavailablePlatterRecoversThroughSet) {
   EXPECT_EQ(service.Get("acct/f0"), files[0].second);
 }
 
+TEST_F(ServiceTest, BatchGetReadsEachFileAndTrackOnce) {
+  SilicaService service(Config());
+  Telemetry telemetry;
+  service.SetTelemetry(&telemetry);
+  Rng rng(7);
+  // Account 1 fills more than one platter; account 2's two small files land
+  // next to each other after it.
+  for (int i = 0; i < 8; ++i) {
+    service.Put("big/" + std::to_string(i), 1, RandomBytes(rng, 40000));
+  }
+  service.Put("small/a", 2, RandomBytes(rng, 300));
+  service.Put("small/b", 2, RandomBytes(rng, 300));
+  service.Flush();
+
+  const MediaGeometry& g = service.data_plane().geometry();
+  const auto track_of = [&](const std::string& name) {
+    return SerpentineSectorAddress(g, service.metadata().Lookup(name)->start_sector_index)
+        .track;
+  };
+  const uint64_t degraded_platter = service.metadata().Lookup("small/a")->platter_id;
+  ASSERT_EQ(service.metadata().Lookup("small/b")->platter_id, degraded_platter);
+  ASSERT_EQ(track_of("small/a"), track_of("small/b"));
+  std::vector<std::string> plain;
+  for (int i = 0; i < 8 && plain.size() < 2; ++i) {
+    const std::string name = "big/" + std::to_string(i);
+    if (service.metadata().Lookup(name)->platter_id != degraded_platter) {
+      plain.push_back(name);
+    }
+  }
+  ASSERT_EQ(plain.size(), 2u);
+  ASSERT_TRUE(service.MarkUnavailable(degraded_platter));
+
+  const std::vector<std::string> names = {plain[0], "small/a", plain[1], plain[0],
+                                          "small/b",  "small/a", "missing"};
+  const Counter& sectors_read = telemetry.metrics.GetCounter("decode_sectors_read_total");
+  const Counter& set_recoveries =
+      telemetry.metrics.GetCounter("decode_platter_set_recoveries_total");
+  const double sectors_before = sectors_read.value();
+  const double set_before = set_recoveries.value();
+  const auto result = service.BatchGet(names);
+
+  // One track rebuilt for both degraded files; each distinct plain file's
+  // sectors decoded once (pristine glass needs no recovery).
+  EXPECT_EQ(set_recoveries.value() - set_before, g.sectors_per_track());
+  const uint64_t payload_bytes = service.data_plane().sector_payload_bytes();
+  const uint64_t plain_sectors = 2 * ((40000 + payload_bytes - 1) / payload_bytes);
+  EXPECT_EQ(sectors_read.value() - sectors_before, static_cast<double>(plain_sectors));
+  EXPECT_EQ(result.platter_mounts, 2u + (service.metadata().Lookup(plain[0])->platter_id !=
+                                         service.metadata().Lookup(plain[1])->platter_id));
+  EXPECT_EQ(result.recovery_reads, 3u);
+  ASSERT_EQ(result.files.size(), names.size());
+  for (size_t i = 0; i < names.size(); ++i) {
+    EXPECT_EQ(result.files[i], service.Get(names[i])) << names[i];
+  }
+  EXPECT_TRUE(result.files[1].has_value());
+  EXPECT_FALSE(result.files.back().has_value());
+}
+
 TEST_F(ServiceTest, MetadataRebuildFromPlatterScan) {
   SilicaService service(Config());
   Rng rng(4);

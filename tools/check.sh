@@ -212,6 +212,6 @@ cmake --preset asan >/dev/null
 cmake --build --preset asan -j "$jobs" --target silica_tests
 ASAN_OPTIONS=detect_leaks=1 UBSAN_OPTIONS=print_stacktrace=1 \
   ./build-asan/tests/silica_tests \
-  --gtest_filter='Rng.*:ParallelFor.*:ThreadPool*:Simulator.*:SimEquivalence.*:CalendarQueueDirect.*:SchedulerEquivalence.*:SchedulerTelemetry.*:ShardedScheduler.*:Partitioner.*:MetricsRegistry.*:Tracer.*:Telemetry.*:Gf256Kernels.*:FaultInjector.*:FaultInjectorState.*:FaultedLibrary.*:MediaAging.*:PlatterRepair.*:ScrubbedLibrary.*:RngState.*:Checkpoint.*:ConvertedTypes/CheckpointRoundTrip.*:LazyRepair*:DurabilityModel.*:Federation.*:Placement.*:FrontendProtocolTest.*:FrontendTest.*:RequestStreamTest.*:DataPlaneParallel.*:DataPipelineTest.*:SoftDecoder.*:SectorCodecTest.*:ReadChannel.*:Constellation.*-DataPipelineTest.VerifyReportsInjectedUnrecoverableLoss'
+  --gtest_filter='Rng.*:ParallelFor.*:ThreadPool*:Simulator.*:SimEquivalence.*:CalendarQueueDirect.*:SchedulerEquivalence.*:SchedulerTelemetry.*:ShardedScheduler.*:Partitioner.*:MetricsRegistry.*:Tracer.*:Telemetry.*:Gf256Kernels.*:FaultInjector.*:FaultInjectorState.*:FaultedLibrary.*:MediaAging.*:PlatterRepair.*:ScrubbedLibrary.*:RngState.*:Checkpoint.*:ConvertedTypes/CheckpointRoundTrip.*:LazyRepair*:DurabilityModel.*:Federation.*:Placement.*:FrontendProtocolTest.*:FrontendTest.*:RequestStreamTest.*:DataPlaneParallel.*:DataPipelineTest.*:SoftDecoder.*:SectorCodecTest.*:ReadChannel.*:Constellation.*'
 
 echo "== OK =="
