@@ -56,12 +56,14 @@ void ThresholdAblation() {
 }  // namespace
 }  // namespace silica
 
-int main() {
+int main(int argc, char** argv) {
   using namespace silica;
-  const auto iops = GenerateTrace(TraceProfile::Iops(42), kDefaultPlatters);
-  const auto volume = GenerateTrace(TraceProfile::Volume(42), kDefaultPlatters);
-  GroupingAblation(iops);
-  StealingAblation(volume);
-  ThresholdAblation();
-  return 0;
+  return RunBench(argc, argv, "bench_ablation", "Ablations: grouping, stealing, threshold.", [] {
+    const auto iops = GenerateTrace(TraceProfile::Iops(42), kDefaultPlatters);
+    const auto volume = GenerateTrace(TraceProfile::Volume(42), kDefaultPlatters);
+    GroupingAblation(iops);
+    StealingAblation(volume);
+    ThresholdAblation();
+    return 0;
+  });
 }

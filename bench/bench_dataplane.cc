@@ -4,6 +4,7 @@
 // the observed sector failure rate against the paper's ~1e-3 operating point.
 #include <benchmark/benchmark.h>
 
+#include "bench_util.h"
 #include "channel/sector_codec.h"
 #include "common/rng.h"
 #include "core/data_pipeline.h"
@@ -120,4 +121,11 @@ BENCHMARK(BM_PlatterVerify);
 }  // namespace
 }  // namespace silica
 
-BENCHMARK_MAIN();
+int main(int argc, char** argv) {
+  benchmark::Initialize(&argc, argv);  // takes the --benchmark_* flags and --help first
+  return silica::RunBench(argc, argv, "bench_dataplane", "Data-plane kernel benchmarks.", [] {
+    benchmark::RunSpecifiedBenchmarks();
+    benchmark::Shutdown();
+    return 0;
+  });
+}

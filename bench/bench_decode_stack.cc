@@ -14,8 +14,6 @@
 // BENCH_decode.json trajectories; see tools/compare_runs.py for the diff rules.
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <span>
 #include <string>
 #include <thread>
@@ -375,7 +373,7 @@ std::string Hex(uint64_t value) {
   return hex;
 }
 
-int Run(int threads, bool json, SimdMode simd) {
+int Run(int threads, bool json, const std::string& simd) {
   // Per-tier kernel-stage runs first (they force tiers globally; the full-stack
   // run below then pins the requested tier). Scalar is always index 0.
   const std::vector<SimdMode> tiers = AvailableSimdModes();
@@ -402,10 +400,7 @@ int Run(int threads, bool json, SimdMode simd) {
     bit_identical = bit_identical && t.checksum == tier_runs[0].checksum;
   }
 
-  if (!SetSimdMode(simd)) {
-    std::fprintf(stderr, "error: requested --simd tier is not available\n");
-    return 1;
-  }
+  SetSimdModeByName(simd);
 
   // One platter through the real write pipeline; the read side is what we time.
   DataPlane plane(DataPlaneConfig{});
@@ -511,37 +506,20 @@ int Run(int threads, bool json, SimdMode simd) {
 }  // namespace silica
 
 int main(int argc, char** argv) {
-  int threads = static_cast<int>(std::thread::hardware_concurrency());
-  if (threads < 1) {
-    threads = 1;
-  }
+  int threads = std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
   bool json = false;
-  silica::SimdMode simd = silica::SimdMode::kAuto;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--threads=", 0) == 0) {
-      threads = std::atoi(arg.c_str() + std::strlen("--threads="));
-      if (threads < 1) {
-        std::fprintf(stderr, "error: --threads must be >= 1\n");
-        return 1;
-      }
-    } else if (arg.rfind("--simd=", 0) == 0) {
-      const auto parsed =
-          silica::ParseSimdMode(arg.c_str() + std::strlen("--simd="));
-      if (!parsed.has_value()) {
-        std::fprintf(stderr,
-                     "error: --simd must be one of auto/scalar/avx2/neon\n");
-        return 1;
-      }
-      simd = *parsed;
-    } else if (arg == "--json") {
-      json = true;
-    } else if (arg == "--help") {
-      std::printf(
-          "usage: bench_decode_stack [--threads=N] "
-          "[--simd=auto|scalar|avx2|neon] [--json]\n");
-      return 0;
+  std::string simd = "auto";
+  silica::FlagSet flags("bench_decode_stack",
+                        "Decode stack throughput (1 thread vs --threads) and "
+                        "the Section 3.2 cost/SLO sweeps.");
+  flags.Int("threads", &threads, "decode worker threads of the measured run")
+      .Enum("simd", &simd, silica::SimdModeNames(),
+            "kernel tier of the full-stack run")
+      .Bool("json", &json, "one JSON object on stdout");
+  return silica::RunBench(argc, argv, flags, [&] {
+    if (threads < 1) {
+      throw silica::FlagError("--threads must be >= 1");
     }
-  }
-  return silica::Run(threads, json, simd);
+    return silica::Run(threads, json, simd);
+  });
 }

@@ -33,17 +33,19 @@ void Run(const char* label, PlatterSpread spread, const GeneratedTrace& trace) {
 }  // namespace
 }  // namespace silica
 
-int main() {
+int main(int argc, char** argv) {
   using namespace silica;
-  Header("Deployment placement: spread vs packed (3 libraries, Zipf-skewed IOPS)");
-  auto profile = TraceProfile::Iops(42);
-  profile.zipf_skew = 1.0;
-  const auto trace = GenerateTrace(profile, kDefaultPlatters);
-  std::printf("%-10s %14s %14s\n", "placement", "tail", "imbalance");
-  Run("spread", PlatterSpread::kSpread, trace);
-  Run("packed", PlatterSpread::kPacked, trace);
-  std::printf("\nspreading a platter-set across libraries spreads the traffic of\n"
-              "the files that live on it (they are read together by construction),\n"
-              "so hot content cannot pin one library while others idle.\n");
-  return 0;
+  return RunBench(argc, argv, "bench_deployment", "Section 6: platter sets spread vs packed.", [] {
+    Header("Deployment placement: spread vs packed (3 libraries, Zipf-skewed IOPS)");
+    auto profile = TraceProfile::Iops(42);
+    profile.zipf_skew = 1.0;
+    const auto trace = GenerateTrace(profile, kDefaultPlatters);
+    std::printf("%-10s %14s %14s\n", "placement", "tail", "imbalance");
+    Run("spread", PlatterSpread::kSpread, trace);
+    Run("packed", PlatterSpread::kPacked, trace);
+    std::printf("\nspreading a platter-set across libraries spreads the traffic of\n"
+                "the files that live on it (they are read together by construction),\n"
+                "so hot content cannot pin one library while others idle.\n");
+    return 0;
+  });
 }

@@ -18,7 +18,6 @@
 // tracking (tools/check.sh smoke-runs it). `--sweep-threads=K` runs the grid
 // cells in parallel with byte-identical output for every K.
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <utility>
 #include <vector>
@@ -168,18 +167,7 @@ std::string MttdlCellJson(const MttdlCell& cell) {
       .Str();
 }
 
-}  // namespace
-}  // namespace silica
-
-int main(int argc, char** argv) {
-  using namespace silica;
-  bool json = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--json") == 0) {
-      json = true;
-    }
-  }
-
+int Run(bool json, int sweep_threads) {
   const auto trace = GenerateTrace(TraceProfile::Iops(42), kPlatters);
   // Aging means: off, then one latent damage event per platter roughly every
   // 8 h and every 1 h of the trace window — far beyond any physical glass decay
@@ -199,7 +187,7 @@ int main(int argc, char** argv) {
     }
   }
   const auto results = RunSweep<Cell>(
-      grid.size(), SweepThreadsArg(argc, argv),
+      grid.size(), sweep_threads,
       [&](size_t i) { return RunCell(trace, grid[i].first, grid[i].second); });
 
   std::vector<std::string> cells;
@@ -239,7 +227,7 @@ int main(int argc, char** argv) {
   // inline; RunSweep keeps the cells independent and the output order fixed.
   auto mttdl_grid = MttdlGrid();
   const auto mttdl_results = RunSweep<MttdlCell>(
-      mttdl_grid.size(), SweepThreadsArg(argc, argv), [&](size_t i) {
+      mttdl_grid.size(), sweep_threads, [&](size_t i) {
         MttdlCell cell = mttdl_grid[i];
         cell.estimate = EstimateMttdl(cell.config, cell.roots, cell.split_k);
         return cell;
@@ -253,6 +241,7 @@ int main(int argc, char** argv) {
     std::printf("%s\n",
                 JsonObject()
                     .Field("bench", "durability")
+                    .FieldRaw("host", HostJson())
                     .Field("platters", kPlatters)
                     .FieldRaw("cells", JsonArray(cells))
                     .FieldRaw("mttdl", JsonArray(mttdl_cells))
@@ -286,4 +275,21 @@ int main(int argc, char** argv) {
       "the code (16+3 -> 16+6) buys it back at k x platter_bytes repair\n"
       "amplification. The xcheck pair pins splitting against brute force.\n");
   return 0;
+}
+
+}  // namespace
+}  // namespace silica
+
+int main(int argc, char** argv) {
+  bool json = false;
+  int sweep_threads = 1;
+  silica::FlagSet flags("bench_durability",
+                        "Media aging x background scrub through the twin, and "
+                        "the MTTDL vs repair-bandwidth frontier.");
+  flags.Bool("json", &json, "one JSON object on stdout")
+      .Int("sweep-threads", &sweep_threads,
+           "threads running the sweep cells; the report is identical for "
+           "every value");
+  return silica::RunBench(argc, argv, flags,
+                          [&] { return silica::Run(json, sweep_threads); });
 }

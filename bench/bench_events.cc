@@ -22,7 +22,6 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <functional>
 #include <queue>
 #include <string>
@@ -332,24 +331,7 @@ Comparison Compare(const char* name, uint64_t ops) {
   return c;
 }
 
-}  // namespace
-}  // namespace silica
-
-int main(int argc, char** argv) {
-  using namespace silica;
-  bool json = false;
-  uint64_t ops = 2'000'000;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--json") == 0) {
-      json = true;
-    } else if (std::strncmp(argv[i], "--ops=", 6) == 0) {
-      const long long n = std::atoll(argv[i] + 6);
-      if (n > 0) {
-        ops = static_cast<uint64_t>(n);
-      }
-    }
-  }
-
+int Run(bool json, uint64_t ops) {
   const Comparison results[] = {
       Compare<&ScheduleHeavy<Simulator>, &ScheduleHeavy<HeapSimulator>>(
           "schedule_heavy", ops),
@@ -373,6 +355,7 @@ int main(int argc, char** argv) {
     }
     std::printf("%s\n", JsonObject()
                             .Field("bench", "events")
+                            .FieldRaw("host", HostJson())
                             .Field("ops_per_workload", ops)
                             .FieldRaw("workloads", JsonArray(items))
                             .Str()
@@ -394,4 +377,23 @@ int main(int argc, char** argv) {
       "order-sensitive checksums are required to match, so the speedup is\n"
       "measured on provably equivalent behavior.\n");
   return 0;
+}
+
+}  // namespace
+}  // namespace silica
+
+int main(int argc, char** argv) {
+  bool json = false;
+  uint64_t ops = 2'000'000;
+  silica::FlagSet flags("bench_events",
+                        "Event loop: calendar queue + InlineEvent vs binary "
+                        "heap + std::function.");
+  flags.Bool("json", &json, "one JSON object on stdout")
+      .Uint("ops", &ops, "operations per workload");
+  return silica::RunBench(argc, argv, flags, [&] {
+    if (ops < 1) {
+      throw silica::FlagError("--ops must be >= 1");
+    }
+    return silica::Run(json, ops);
+  });
 }

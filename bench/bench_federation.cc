@@ -17,8 +17,6 @@
 // two captures.
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <thread>
 #include <vector>
@@ -139,51 +137,8 @@ CellResult RunCell(const FederationConfig& config, int reps) {
   return cell;
 }
 
-}  // namespace
-}  // namespace silica
-
-int main(int argc, char** argv) {
-  using namespace silica;
-  bool json = false;
-  bool gate_speedup = true;
-  int threads = 8;
-  int reps = 1;
-  double rate = 1.0;
-  double window_hours = 4.0;
-  std::vector<int> sizes = {1, 2, 4, 8, 16};
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--json") == 0) {
-      json = true;
-    } else if (std::strcmp(argv[i], "--skip-speedup-gate") == 0) {
-      gate_speedup = false;
-    } else if (std::strncmp(argv[i], "--federation-threads=", 21) == 0) {
-      const int k = std::atoi(argv[i] + 21);
-      if (k > 0) {
-        threads = k;
-      }
-    } else if (std::strncmp(argv[i], "--reps=", 7) == 0) {
-      const int k = std::atoi(argv[i] + 7);
-      if (k > 0) {
-        reps = k;
-      }
-    } else if (std::strncmp(argv[i], "--rate=", 7) == 0) {
-      rate = std::atof(argv[i] + 7);
-    } else if (std::strncmp(argv[i], "--window-hours=", 15) == 0) {
-      window_hours = std::atof(argv[i] + 15);
-    } else if (std::strncmp(argv[i], "--libraries=", 12) == 0) {
-      sizes.clear();
-      for (const char* p = argv[i] + 12; *p != '\0';) {
-        sizes.push_back(std::atoi(p));
-        while (*p != '\0' && *p != ',') {
-          ++p;
-        }
-        if (*p == ',') {
-          ++p;
-        }
-      }
-    }
-  }
-
+int Run(bool json, bool gate_speedup, int threads, int reps, double rate,
+        double window_hours, const std::vector<int>& sizes) {
   const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
   std::vector<CellResult> serial_cells;
   std::vector<CellResult> threaded_cells;
@@ -265,8 +220,8 @@ int main(int argc, char** argv) {
     std::printf("%s\n",
                 JsonObject()
                     .Field("bench", "federation")
+                    .FieldRaw("host", HostJson())
                     .Field("federation_threads", threads)
-                    .Field("hardware_concurrency", static_cast<int>(hw))
                     .Field("rate_per_s", rate)
                     .Field("window_hours", window_hours)
                     .FieldRaw("cells", JsonArray(items))
@@ -299,4 +254,35 @@ int main(int argc, char** argv) {
               "(gate: >= 0.7 * %.0fx linear; hw concurrency %u)\n",
               gate_size, threads, speedup, expected, hw);
   return 0;
+}
+
+}  // namespace
+}  // namespace silica
+
+int main(int argc, char** argv) {
+  bool json = false;
+  bool skip_speedup_gate = false;
+  int threads = 8;
+  int reps = 1;
+  double rate = 1.0;
+  double window_hours = 4.0;
+  std::vector<int> sizes = {1, 2, 4, 8, 16};
+  silica::FlagSet flags("bench_federation",
+                        "Federation scaling: N libraries under conservative "
+                        "epoch sync, 1 thread vs --federation-threads.");
+  flags.Bool("json", &json, "one JSON object on stdout")
+      .Bool("skip-speedup-gate", &skip_speedup_gate,
+            "report the speedup without failing on it")
+      .Int("federation-threads", &threads, "threads of the parallel cells")
+      .Int("reps", &reps, "repetitions per cell; the fastest is reported")
+      .Double("rate", &rate, "reads per second per library")
+      .Double("window-hours", &window_hours, "measured window, hours")
+      .IntList("libraries", &sizes, "federation sizes swept");
+  return silica::RunBench(argc, argv, flags, [&] {
+    if (reps < 1) {
+      throw silica::FlagError("--reps must be >= 1");
+    }
+    return silica::Run(json, !skip_speedup_gate, threads, reps, rate,
+                       window_hours, sizes);
+  });
 }

@@ -101,9 +101,11 @@ void Fig1c() {
 }  // namespace
 }  // namespace silica
 
-int main() {
-  silica::Fig1a();
-  silica::Fig1b();
-  silica::Fig1c();
-  return 0;
+int main(int argc, char** argv) {
+  return silica::RunBench(argc, argv, "bench_fig1_workload", "Figure 1: workload.", [] {
+    silica::Fig1a();
+    silica::Fig1b();
+    silica::Fig1c();
+    return 0;
+  });
 }

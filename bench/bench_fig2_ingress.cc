@@ -47,7 +47,9 @@ void Fig2() {
 }  // namespace
 }  // namespace silica
 
-int main() {
-  silica::Fig2();
-  return 0;
+int main(int argc, char** argv) {
+  return silica::RunBench(argc, argv, "bench_fig2_ingress", "Figure 2: ingress burstiness.", [] {
+    silica::Fig2();
+    return 0;
+  });
 }

@@ -69,7 +69,9 @@ void Fig3() {
 }  // namespace
 }  // namespace silica
 
-int main() {
-  silica::Fig3();
-  return 0;
+int main(int argc, char** argv) {
+  return silica::RunBench(argc, argv, "bench_fig3_mechanics", "Figure 3: prototype mechanics.", [] {
+    silica::Fig3();
+    return 0;
+  });
 }

@@ -31,18 +31,20 @@ void Sweep(const char* figure, const GeneratedTrace& trace) {
 }  // namespace
 }  // namespace silica
 
-int main() {
+int main(int argc, char** argv) {
   using namespace silica;
-  Header("Figure 5(a)/(b): tail completion vs per-drive throughput "
-         "(20 drives, 20 shuttles)");
-  const auto iops = GenerateTrace(TraceProfile::Iops(42), kDefaultPlatters);
-  const auto volume = GenerateTrace(TraceProfile::Volume(42), kDefaultPlatters);
-  const auto typical = GenerateTrace(TraceProfile::Typical(42), kDefaultPlatters);
-  Sweep("Figure 5(a): IOPS workload", iops);
-  Sweep("Figure 5(b): Volume workload", volume);
-  Sweep("(text) Typical workload", typical);
-  std::printf("\npaper: both workloads complete within SLO even at 30 MB/s; IOPS\n"
-              "plateaus beyond ~60 MB/s; Volume gains tail off beyond 60-120 MB/s\n"
-              "because drive mechanics (mount/seek), not bandwidth, bound it.\n");
-  return 0;
+  return RunBench(argc, argv, "bench_fig5_drive_throughput", "Figure 5(a)/(b): drive speed.", [] {
+    Header("Figure 5(a)/(b): tail completion vs per-drive throughput "
+           "(20 drives, 20 shuttles)");
+    const auto iops = GenerateTrace(TraceProfile::Iops(42), kDefaultPlatters);
+    const auto volume = GenerateTrace(TraceProfile::Volume(42), kDefaultPlatters);
+    const auto typical = GenerateTrace(TraceProfile::Typical(42), kDefaultPlatters);
+    Sweep("Figure 5(a): IOPS workload", iops);
+    Sweep("Figure 5(b): Volume workload", volume);
+    Sweep("(text) Typical workload", typical);
+    std::printf("\npaper: both workloads complete within SLO even at 30 MB/s; IOPS\n"
+                "plateaus beyond ~60 MB/s; Volume gains tail off beyond 60-120 MB/s\n"
+                "because drive mechanics (mount/seek), not bandwidth, bound it.\n");
+    return 0;
+  });
 }

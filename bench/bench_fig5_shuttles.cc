@@ -37,15 +37,17 @@ void Sweep(const char* figure, const GeneratedTrace& trace) {
 }  // namespace
 }  // namespace silica
 
-int main() {
+int main(int argc, char** argv) {
   using namespace silica;
-  Header("Figure 5(c)/(d): tail completion vs shuttles (20 drives, 60 MB/s)");
-  const auto iops = GenerateTrace(TraceProfile::Iops(42), kDefaultPlatters);
-  const auto volume = GenerateTrace(TraceProfile::Volume(42), kDefaultPlatters);
-  Sweep("Figure 5(c): IOPS workload", iops);
-  Sweep("Figure 5(d): Volume workload", volume);
-  std::printf("\npaper: IOPS Silica improves 10h @8 -> 1h20 @40 with diminishing\n"
-              "returns from 20; Silica 2.8h vs SP 5h at 20 shuttles; Volume needs\n"
-              ">=12 shuttles for SLO and flattens at 20.\n");
-  return 0;
+  return RunBench(argc, argv, "bench_fig5_shuttles", "Figure 5(c)/(d): shuttle count.", [] {
+    Header("Figure 5(c)/(d): tail completion vs shuttles (20 drives, 60 MB/s)");
+    const auto iops = GenerateTrace(TraceProfile::Iops(42), kDefaultPlatters);
+    const auto volume = GenerateTrace(TraceProfile::Volume(42), kDefaultPlatters);
+    Sweep("Figure 5(c): IOPS workload", iops);
+    Sweep("Figure 5(d): Volume workload", volume);
+    std::printf("\npaper: IOPS Silica improves 10h @8 -> 1h20 @40 with diminishing\n"
+                "returns from 20; Silica 2.8h vs SP 5h at 20 shuttles; Volume needs\n"
+                ">=12 shuttles for SLO and flattens at 20.\n");
+    return 0;
+  });
 }

@@ -23,22 +23,24 @@ void Row(const char* name, const GeneratedTrace& trace, bool fast_switching) {
 }  // namespace
 }  // namespace silica
 
-int main() {
+int main(int argc, char** argv) {
   using namespace silica;
-  Header("Figure 6: read drive utilization (20 drives, 20 shuttles, 60 MB/s)");
-  const auto iops = GenerateTrace(TraceProfile::Iops(42), kDefaultPlatters);
-  const auto volume = GenerateTrace(TraceProfile::Volume(42), kDefaultPlatters);
-  const auto typical = GenerateTrace(TraceProfile::Typical(42), kDefaultPlatters);
+  return RunBench(argc, argv, "bench_fig6_utilization", "Figure 6: drive utilization.", [] {
+    Header("Figure 6: read drive utilization (20 drives, 20 shuttles, 60 MB/s)");
+    const auto iops = GenerateTrace(TraceProfile::Iops(42), kDefaultPlatters);
+    const auto volume = GenerateTrace(TraceProfile::Volume(42), kDefaultPlatters);
+    const auto typical = GenerateTrace(TraceProfile::Typical(42), kDefaultPlatters);
 
-  std::printf("%-10s %6s %13s %13s %13s\n", "trace", "fastsw", "utilization",
-              "reads", "verifies");
-  Row("iops", iops, true);
-  Row("volume", volume, true);
-  Row("typical", typical, true);
-  std::printf("\nablation: fast switching disabled (full unmount+mount per switch)\n");
-  Row("iops", iops, false);
-  Row("typical", typical, false);
-  std::printf("\npaper: utilization >96%% for all workloads; reads 31%% (IOPS) vs\n"
-              "26%% (Volume); Typical 6%% reads / 91%% verifies.\n");
-  return 0;
+    std::printf("%-10s %6s %13s %13s %13s\n", "trace", "fastsw", "utilization",
+                "reads", "verifies");
+    Row("iops", iops, true);
+    Row("volume", volume, true);
+    Row("typical", typical, true);
+    std::printf("\nablation: fast switching disabled (full unmount+mount per switch)\n");
+    Row("iops", iops, false);
+    Row("typical", typical, false);
+    std::printf("\npaper: utilization >96%% for all workloads; reads 31%% (IOPS) vs\n"
+                "26%% (Volume); Typical 6%% reads / 91%% verifies.\n");
+    return 0;
+  });
 }

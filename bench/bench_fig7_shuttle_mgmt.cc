@@ -71,11 +71,13 @@ void Fig7c() {
 }  // namespace
 }  // namespace silica
 
-int main() {
+int main(int argc, char** argv) {
   using namespace silica;
-  Header("Figure 7: shuttle management (20 drives, 60 MB/s)");
-  const auto iops = GenerateTrace(TraceProfile::Iops(42), kDefaultPlatters);
-  Fig7ab(iops);
-  Fig7c();
-  return 0;
+  return RunBench(argc, argv, "bench_fig7_shuttle_mgmt", "Figure 7: shuttle management.", [] {
+    Header("Figure 7: shuttle management (20 drives, 60 MB/s)");
+    const auto iops = GenerateTrace(TraceProfile::Iops(42), kDefaultPlatters);
+    Fig7ab(iops);
+    Fig7c();
+    return 0;
+  });
 }

@@ -93,18 +93,25 @@ void DynamicSweep(const char* name, const GeneratedTrace& trace, double mbps,
 
 int main(int argc, char** argv) {
   using namespace silica;
-  const int sweep_threads = SweepThreadsArg(argc, argv);
-  Header("Figure 8: impact of platter unavailability (20 drives, 20 shuttles)");
-  const auto iops = GenerateTrace(TraceProfile::Iops(42), kDefaultPlatters);
-  const auto volume = GenerateTrace(TraceProfile::Volume(42), kDefaultPlatters);
-  Sweep("IOPS", iops, 30, sweep_threads);
-  Sweep("IOPS", iops, 60, sweep_threads);
-  Sweep("Volume", volume, 30, sweep_threads);
-  Sweep("Volume", volume, 60, sweep_threads);
-  DynamicSweep("IOPS", iops, 60, sweep_threads);
-  DynamicSweep("Volume", volume, 60, sweep_threads);
-  std::printf("\npaper: IOPS within SLO at 10%% unavailability even with 30 MB/s\n"
-              "readers; Volume at 10%% improves from ~35 h (30 MB/s) to ~15 h\n"
-              "(60 MB/s) — aggregate throughput is the binding constraint.\n");
-  return 0;
+  int sweep_threads = 1;
+  FlagSet flags("bench_fig8_unavailability",
+                "Figure 8: tail completion with unavailable platters.");
+  flags.Int("sweep-threads", &sweep_threads,
+            "threads running the sweep cells; the table is identical for "
+            "every value");
+  return RunBench(argc, argv, flags, [&] {
+    Header("Figure 8: impact of platter unavailability (20 drives, 20 shuttles)");
+    const auto iops = GenerateTrace(TraceProfile::Iops(42), kDefaultPlatters);
+    const auto volume = GenerateTrace(TraceProfile::Volume(42), kDefaultPlatters);
+    Sweep("IOPS", iops, 30, sweep_threads);
+    Sweep("IOPS", iops, 60, sweep_threads);
+    Sweep("Volume", volume, 30, sweep_threads);
+    Sweep("Volume", volume, 60, sweep_threads);
+    DynamicSweep("IOPS", iops, 60, sweep_threads);
+    DynamicSweep("Volume", volume, 60, sweep_threads);
+    std::printf("\npaper: IOPS within SLO at 10%% unavailability even with 30 MB/s\n"
+                "readers; Volume at 10%% improves from ~35 h (30 MB/s) to ~15 h\n"
+                "(60 MB/s) — aggregate throughput is the binding constraint.\n");
+    return 0;
+  });
 }

@@ -59,8 +59,16 @@ void Fig9(int sweep_threads) {
 }  // namespace silica
 
 int main(int argc, char** argv) {
-  silica::Header(
-      "Figure 9: full library, steady Poisson load (20 drives, 20 shuttles)");
-  silica::Fig9(silica::SweepThreadsArg(argc, argv));
-  return 0;
+  int sweep_threads = 1;
+  silica::FlagSet flags("bench_fig9_full_library",
+                        "Figure 9: full library under steady Poisson load.");
+  flags.Int("sweep-threads", &sweep_threads,
+            "threads running the sweep cells; the table is identical for "
+            "every value");
+  return silica::RunBench(argc, argv, flags, [&] {
+    silica::Header(
+        "Figure 9: full library, steady Poisson load (20 drives, 20 shuttles)");
+    silica::Fig9(sweep_threads);
+    return 0;
+  });
 }

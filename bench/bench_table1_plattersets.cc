@@ -55,7 +55,9 @@ void Table1() {
 }  // namespace
 }  // namespace silica
 
-int main() {
-  silica::Table1();
-  return 0;
+int main(int argc, char** argv) {
+  return silica::RunBench(argc, argv, "bench_table1_plattersets", "Table 1: set codes.", [] {
+    silica::Table1();
+    return 0;
+  });
 }

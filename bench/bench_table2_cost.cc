@@ -36,7 +36,9 @@ void Table2() {
 }  // namespace
 }  // namespace silica
 
-int main() {
-  silica::Table2();
-  return 0;
+int main(int argc, char** argv) {
+  return silica::RunBench(argc, argv, "bench_table2_cost", "Table 2: cost comparison.", [] {
+    silica::Table2();
+    return 0;
+  });
 }

@@ -13,8 +13,6 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -137,42 +135,8 @@ FleetResult RunFleet(int shuttles, uint64_t requests_per_shuttle, int reps) {
   return fr;
 }
 
-}  // namespace
-}  // namespace silica
-
-int main(int argc, char** argv) {
-  using namespace silica;
-  bool json = false;
-  uint64_t requests_per_shuttle = 150;
-  int reps = 3;
-  std::vector<int> fleets = {1, 8, 32, 128, 256};
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--json") == 0) {
-      json = true;
-    } else if (std::strncmp(argv[i], "--requests=", 11) == 0) {
-      const long long n = std::atoll(argv[i] + 11);
-      if (n > 0) {
-        requests_per_shuttle = static_cast<uint64_t>(n);
-      }
-    } else if (std::strncmp(argv[i], "--reps=", 7) == 0) {
-      const long long n = std::atoll(argv[i] + 7);
-      if (n > 0) {
-        reps = static_cast<int>(n);
-      }
-    } else if (std::strncmp(argv[i], "--fleets=", 9) == 0) {
-      fleets.clear();
-      for (const char* p = argv[i] + 9; *p != '\0';) {
-        fleets.push_back(std::atoi(p));
-        while (*p != '\0' && *p != ',') {
-          ++p;
-        }
-        if (*p == ',') {
-          ++p;
-        }
-      }
-    }
-  }
-
+int Run(bool json, uint64_t requests_per_shuttle, int reps,
+        const std::vector<int>& fleets) {
   std::vector<FleetResult> results;
   for (int shuttles : fleets) {
     results.push_back(RunFleet(shuttles, requests_per_shuttle, reps));
@@ -261,6 +225,7 @@ int main(int argc, char** argv) {
     std::printf("%s\n",
                 JsonObject()
                     .Field("bench", "traffic")
+                    .FieldRaw("host", HostJson())
                     .Field("requests_per_shuttle", requests_per_shuttle)
                     .FieldRaw("fleets", JsonArray(items))
                     .Field("events_per_second_ratio_largest_vs_8", ratio)
@@ -294,4 +259,27 @@ int main(int argc, char** argv) {
               results.empty() ? 0 : results.back().shuttles, p999_ratio,
               kP999RatioBound);
   return 0;
+}
+
+}  // namespace
+}  // namespace silica
+
+int main(int argc, char** argv) {
+  bool json = false;
+  uint64_t requests_per_shuttle = 150;
+  int reps = 3;
+  std::vector<int> fleets = {1, 8, 32, 128, 256};
+  silica::FlagSet flags("bench_traffic",
+                        "Control-plane scaling: events/sec as the shuttle "
+                        "fleet grows.");
+  flags.Bool("json", &json, "one JSON object on stdout")
+      .Uint("requests", &requests_per_shuttle, "requests per shuttle")
+      .Int("reps", &reps, "repetitions per fleet; the fastest is reported")
+      .IntList("fleets", &fleets, "fleet sizes swept, shuttles");
+  return silica::RunBench(argc, argv, flags, [&] {
+    if (requests_per_shuttle < 1 || reps < 1) {
+      throw silica::FlagError("--requests and --reps must be >= 1");
+    }
+    return silica::Run(json, requests_per_shuttle, reps, fleets);
+  });
 }

@@ -5,12 +5,11 @@
 #define SILICA_BENCH_BENCH_UTIL_H_
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/flags.h"
 #include "common/units.h"
 #include "core/library_sim.h"
 #include "core/sweep.h"
@@ -57,17 +56,20 @@ inline const char* SloVerdict(const LibrarySimResult& result) {
                                                                   : "MISSES SLO";
 }
 
-// Parses --sweep-threads=K (default 1). Benches fan their sweep cells out with
-// RunSweep and print rows afterwards in cell order, so every K produces a
-// byte-identical table; K only changes the wall-clock time.
-inline int SweepThreadsArg(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--sweep-threads=", 16) == 0) {
-      const int k = std::atoi(argv[i] + 16);
-      return k > 0 ? k : 1;
-    }
-  }
-  return 1;
+// Runs a bench: parses `flags` (a usage error prints "error: ..." and exits 2;
+// --help prints the flag table and exits 0), then returns body(). A config
+// validator's std::invalid_argument also exits 2. Exit 1 is a bench gate.
+template <typename Body>
+int RunBench(int argc, char** argv, FlagSet& flags, Body body) {
+  return RunCli([&] { return flags.Parse(argc, argv) ? body() : 0; });
+}
+
+// A bench without flags of its own: every argument but --help is an error.
+template <typename Body>
+int RunBench(int argc, char** argv, const char* program, const char* about,
+             Body body) {
+  FlagSet flags(program, about);
+  return RunBench(argc, argv, flags, body);
 }
 
 inline void Header(const char* title) {

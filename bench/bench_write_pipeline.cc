@@ -46,7 +46,9 @@ void Sweep() {
 }  // namespace
 }  // namespace silica
 
-int main() {
-  silica::Sweep();
-  return 0;
+int main(int argc, char** argv) {
+  return silica::RunBench(argc, argv, "bench_write_pipeline", "Section 3.1: write pipeline.", [] {
+    silica::Sweep();
+    return 0;
+  });
 }

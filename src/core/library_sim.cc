@@ -209,68 +209,83 @@ struct ParentState {
 // partitioning) downstream. Mirrors SilicaService's ValidateConfig style.
 void ValidateLibrarySimConfig(const LibrarySimConfig& config) {
   const LibraryConfig& lib = config.library;
-  const auto reject = [](const std::string& what) {
-    throw std::invalid_argument("LibrarySimConfig: " + what);
+  // Conditions are written so that NaN fails them.
+  const auto check = [](bool ok, const std::string& what, auto got) {
+    if (!ok) {
+      throw std::invalid_argument("LibrarySimConfig: " + what + " (got " +
+                                  std::to_string(got) + ")");
+    }
   };
-  if (lib.num_shuttles < 1) {
-    reject("library.num_shuttles must be >= 1 (got " +
-           std::to_string(lib.num_shuttles) + ")");
-  }
-  if (lib.storage_racks < 1 || lib.shelves < 1 || lib.slots_per_shelf < 1) {
-    reject("library storage geometry (storage_racks, shelves, slots_per_shelf) "
-           "must all be >= 1 (got " + std::to_string(lib.storage_racks) + ", " +
-           std::to_string(lib.shelves) + ", " +
-           std::to_string(lib.slots_per_shelf) + ")");
-  }
-  if (lib.read_racks < 1 || lib.drives_per_read_rack < 1) {
-    reject("library read geometry (read_racks, drives_per_read_rack) must be "
-           ">= 1 (got " + std::to_string(lib.read_racks) + ", " +
-           std::to_string(lib.drives_per_read_rack) + ")");
-  }
-  if (!(lib.steal_threshold_bytes >= 0.0)) {  // also rejects NaN
-    reject("library.steal_threshold_bytes must be >= 0 (got " +
-           std::to_string(lib.steal_threshold_bytes) + ")");
-  }
-  if (lib.congestion_detour_shelves < 0) {
-    reject("library.congestion_detour_shelves must be >= 0 (got " +
-           std::to_string(lib.congestion_detour_shelves) + ")");
-  }
-  if (!(lib.repartition_interval_s >= 0.0)) {
-    reject("library.repartition_interval_s must be >= 0 (got " +
-           std::to_string(lib.repartition_interval_s) + ")");
-  }
+  check(lib.num_shuttles >= 1, "library.num_shuttles must be >= 1", lib.num_shuttles);
+  check(lib.storage_racks >= 1 && lib.shelves >= 1 && lib.slots_per_shelf >= 1,
+        "library storage geometry (storage_racks, shelves, slots_per_shelf) must all be >= 1",
+        std::min({lib.storage_racks, lib.shelves, lib.slots_per_shelf}));
+  check(lib.read_racks >= 1 && lib.drives_per_read_rack >= 1,
+        "library read geometry (read_racks, drives_per_read_rack) must be >= 1",
+        std::min(lib.read_racks, lib.drives_per_read_rack));
+  check(lib.steal_threshold_bytes >= 0.0, "library.steal_threshold_bytes must be >= 0",
+        lib.steal_threshold_bytes);
+  check(lib.congestion_detour_shelves >= 1, "library.congestion_detour_shelves must be >= 1",
+        lib.congestion_detour_shelves);
+  check(lib.repartition_interval_s >= 0.0, "library.repartition_interval_s must be >= 0",
+        lib.repartition_interval_s);
+  const bool partitioned = lib.policy == LibraryConfig::Policy::kPartitioned;
   if (lib.repartition_interval_s > 0.0) {
-    if (!(lib.repartition_ewma_alpha > 0.0) || lib.repartition_ewma_alpha > 1.0) {
-      reject("library.repartition_ewma_alpha must be in (0, 1] (got " +
-             std::to_string(lib.repartition_ewma_alpha) + ")");
-    }
-    if (!(lib.repartition_lo >= 0.0) || !(lib.repartition_hi > lib.repartition_lo)) {
-      reject("library repartition band needs 0 <= repartition_lo < "
-             "repartition_hi (got lo=" + std::to_string(lib.repartition_lo) +
-             ", hi=" + std::to_string(lib.repartition_hi) + ")");
-    }
+    check(partitioned, "library.repartition_interval_s > 0 needs the partitioned policy",
+          lib.repartition_interval_s);
+    check(lib.repartition_ewma_alpha > 0.0 && lib.repartition_ewma_alpha <= 1.0,
+          "library.repartition_ewma_alpha must be in (0, 1]", lib.repartition_ewma_alpha);
+    check(lib.repartition_lo >= 0.0 && lib.repartition_hi > lib.repartition_lo,
+          "library repartition band needs 0 <= repartition_lo < repartition_hi; hi",
+          lib.repartition_hi);
   }
-  if (!(config.write_surge_factor >= 1.0)) {
-    reject("write_surge_factor must be >= 1 (got " +
-           std::to_string(config.write_surge_factor) + ")");
+  check(config.platter_set_info >= 1, "platter_set_info must be >= 1", config.platter_set_info);
+  check(config.platter_set_redundancy >= 1, "platter_set_redundancy must be >= 1",
+        config.platter_set_redundancy);
+  check(config.fleet_loss_fraction >= 0.0 && config.fleet_loss_fraction < 1.0,
+        "fleet_loss_fraction must be in [0, 1)", config.fleet_loss_fraction);
+  check(config.blackout_partition >= -1, "blackout_partition must be -1 (none) or >= 0",
+        config.blackout_partition);
+  if (config.blackout_partition >= 0) {
+    check(partitioned, "blackout_partition needs the partitioned policy",
+          config.blackout_partition);
+    check(config.blackout_start_s >= 0.0, "blackout_start_s must be >= 0",
+          config.blackout_start_s);
+    check(config.blackout_duration_s > 0.0, "blackout_duration_s must be > 0",
+          config.blackout_duration_s);
   }
-  if (!(config.write_surge_duration_s >= 0.0)) {
-    reject("write_surge_duration_s must be >= 0 (got " +
-           std::to_string(config.write_surge_duration_s) + ")");
+  check(config.write_platters_per_hour >= 0.0, "write_platters_per_hour must be >= 0",
+        config.write_platters_per_hour);
+  check(config.write_surge_factor >= 1.0, "write_surge_factor must be >= 1",
+        config.write_surge_factor);
+  check(config.write_surge_duration_s >= 0.0, "write_surge_duration_s must be >= 0",
+        config.write_surge_duration_s);
+  if (config.write_surge_factor > 1.0) {
+    check(config.write_platters_per_hour > 0.0,
+          "write_surge_factor > 1 needs write_platters_per_hour > 0 (the surge scales the "
+          "explicit write pipeline)",
+          config.write_platters_per_hour);
+    check(config.write_surge_duration_s > 0.0,
+          "write_surge_factor > 1 needs write_surge_duration_s > 0",
+          config.write_surge_duration_s);
   }
+  check(config.faults.aging.max_sectors_per_event >= 1,
+        "faults.aging.max_sectors_per_event must be >= 1",
+        config.faults.aging.max_sectors_per_event);
+  check(config.scrub.platter_interval_s > 0.0, "scrub.platter_interval_s must be > 0",
+        config.scrub.platter_interval_s);
+  check(config.scrub.track_sample_fraction > 0.0 && config.scrub.track_sample_fraction <= 1.0,
+        "scrub.track_sample_fraction must be in (0, 1]", config.scrub.track_sample_fraction);
   if (config.lazy_repair.enabled) {
-    if (!config.scrub.enabled) {
-      reject("lazy_repair.enabled requires scrub.enabled (detections come from "
-             "scrub passes)");
-    }
-    if (!(config.lazy_repair.bandwidth_bytes_per_s > 0.0)) {
-      reject("lazy_repair.bandwidth_bytes_per_s must be > 0 (got " +
-             std::to_string(config.lazy_repair.bandwidth_bytes_per_s) + ")");
-    }
-    if (!(config.lazy_repair.drain_interval_s > 0.0)) {
-      reject("lazy_repair.drain_interval_s must be > 0 (got " +
-             std::to_string(config.lazy_repair.drain_interval_s) + ")");
-    }
+    check(config.scrub.enabled,
+          "lazy_repair.enabled requires scrub.enabled (detections come from scrub passes); "
+          "scrub.enabled",
+          config.scrub.enabled);
+    check(config.lazy_repair.bandwidth_bytes_per_s > 0.0,
+          "lazy_repair.bandwidth_bytes_per_s must be > 0",
+          config.lazy_repair.bandwidth_bytes_per_s);
+    check(config.lazy_repair.drain_interval_s > 0.0, "lazy_repair.drain_interval_s must be > 0",
+          config.lazy_repair.drain_interval_s);
   }
 }
 

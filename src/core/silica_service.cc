@@ -29,18 +29,9 @@ ServiceConfig ValidateConfig(ServiceConfig config) {
         "ServiceConfig: platter_set.redundancy must be >= 0 (got " +
         std::to_string(config.platter_set.redundancy) + ")");
   }
-  const std::optional<SimdMode> simd = ParseSimdMode(config.simd);
-  if (!simd.has_value()) {
-    throw std::invalid_argument(
-        "ServiceConfig: simd must be one of auto/scalar/avx2/neon (got \"" +
-        config.simd + "\")");
-  }
   // Process-wide: kernels are stateless and every tier is bit-identical, so
   // applying the most recent service's choice globally is safe.
-  if (!SetSimdMode(*simd)) {
-    throw std::invalid_argument("ServiceConfig: simd tier \"" + config.simd +
-                                "\" is not available on this CPU/build");
-  }
+  SetSimdModeByName(config.simd);
   return config;
 }
 

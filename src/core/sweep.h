@@ -19,6 +19,8 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -36,14 +38,19 @@ inline uint64_t SweepSeed(uint64_t base, size_t i) {
 }
 
 // Runs fn(i) for i in [0, n) and returns the results indexed by i. With
-// threads <= 1 this is a plain serial loop; otherwise the calls run on a
+// threads == 1 this is a plain serial loop; otherwise the calls run on a
 // ThreadPool. Results are identical for every thread count as long as fn is a
 // pure function of its index (see file comment). If a call throws, the sweep
 // still runs every cell and the first exception in chunk order is rethrown.
+// threads < 1 throws std::invalid_argument.
 template <typename Result, typename Fn>
 std::vector<Result> RunSweep(size_t n, int threads, Fn&& fn) {
+  if (threads < 1) {
+    throw std::invalid_argument("RunSweep: threads must be >= 1 (got " +
+                                std::to_string(threads) + ")");
+  }
   std::vector<Result> results(n);
-  if (threads <= 1 || n <= 1) {
+  if (threads == 1 || n <= 1) {
     for (size_t i = 0; i < n; ++i) {
       results[i] = fn(i);
     }

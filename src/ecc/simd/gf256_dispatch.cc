@@ -4,11 +4,16 @@
 #include "ecc/simd/gf256_kernels.h"
 
 #include <atomic>
+#include <stdexcept>
+#include <string>
 
 namespace silica {
 namespace {
 
 std::atomic<const Gf256Kernels*> g_active{nullptr};
+
+constexpr SimdMode kSimdModes[] = {SimdMode::kAuto, SimdMode::kScalar,
+                                   SimdMode::kAvx2, SimdMode::kNeon};
 
 const Gf256Kernels* DetectBest() {
   if (const Gf256Kernels* k = Avx2Kernels()) {
@@ -57,17 +62,10 @@ bool SetSimdMode(SimdMode mode) {
 SimdMode ActiveSimdMode() { return ActiveKernels().tier; }
 
 std::optional<SimdMode> ParseSimdMode(std::string_view name) {
-  if (name == "auto") {
-    return SimdMode::kAuto;
-  }
-  if (name == "scalar") {
-    return SimdMode::kScalar;
-  }
-  if (name == "avx2") {
-    return SimdMode::kAvx2;
-  }
-  if (name == "neon") {
-    return SimdMode::kNeon;
+  for (const SimdMode mode : kSimdModes) {
+    if (name == SimdModeName(mode)) {
+      return mode;
+    }
   }
   return std::nullopt;
 }
@@ -84,6 +82,27 @@ const char* SimdModeName(SimdMode mode) {
       return "neon";
   }
   return "?";
+}
+
+std::vector<std::string> SimdModeNames() {
+  std::vector<std::string> names;
+  for (const SimdMode mode : kSimdModes) {
+    names.emplace_back(SimdModeName(mode));
+  }
+  return names;
+}
+
+void SetSimdModeByName(std::string_view name) {
+  const std::optional<SimdMode> mode = ParseSimdMode(name);
+  if (!mode.has_value() || !SetSimdMode(*mode)) {
+    std::string available;
+    for (const SimdMode m : AvailableSimdModes()) {
+      available += std::string(" ") + SimdModeName(m);
+    }
+    throw std::invalid_argument("simd tier \"" + std::string(name) +
+                                "\" is not available here (available: auto" +
+                                available + ")");
+  }
 }
 
 std::vector<SimdMode> AvailableSimdModes() {

@@ -32,6 +32,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <optional>
+#include <string>
 #include <string_view>
 #include <vector>
 
@@ -208,6 +209,12 @@ SimdMode ActiveSimdMode();
 // "auto" / "scalar" / "avx2" / "neon" <-> SimdMode.
 std::optional<SimdMode> ParseSimdMode(std::string_view name);
 const char* SimdModeName(SimdMode mode);
+// Every name ParseSimdMode accepts, "auto" first.
+std::vector<std::string> SimdModeNames();
+// SetSimdMode by name, for command lines and configs. Throws
+// std::invalid_argument when `name` is not a tier or the tier is not
+// available on this machine.
+void SetSimdModeByName(std::string_view name);
 
 // Every tier that SetSimdMode would accept on this machine, scalar first.
 // The differential suites iterate this to pin each tier to the reference.

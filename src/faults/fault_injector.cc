@@ -9,6 +9,11 @@
 namespace silica {
 
 FaultProcess FaultProcess::Exponential(double mtbf_s, double mttr_s) {
+  if (!(mtbf_s >= 0.0) || !(mttr_s >= 0.0)) {
+    throw std::invalid_argument(
+        "FaultProcess::Exponential: mtbf and mttr must be >= 0 (0 = off); got " +
+        std::to_string(mtbf_s) + ", " + std::to_string(mttr_s));
+  }
   FaultProcess process;
   if (mtbf_s > 0.0) {
     process.uptime = std::make_shared<ExponentialDistribution>(mtbf_s);

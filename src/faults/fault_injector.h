@@ -42,8 +42,9 @@ struct FaultProcess {
   bool enabled() const { return uptime != nullptr; }
 
   // The standard reliability parameterization: exponential time-to-failure with
-  // the given MTBF, exponential repair with the given MTTR (mttr_s <= 0 means
-  // failures are permanent).
+  // the given MTBF (0 disables the process), exponential repair with the given
+  // MTTR (0 means failures are permanent). Negative values throw
+  // std::invalid_argument.
   static FaultProcess Exponential(double mtbf_s, double mttr_s);
 };
 

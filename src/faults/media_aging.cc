@@ -1,11 +1,18 @@
 #include "faults/media_aging.h"
 
 #include <algorithm>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 namespace silica {
 
 MediaAgingConfig MediaAgingConfig::Exponential(double mean_gap_s) {
+  if (!(mean_gap_s >= 0.0)) {
+    throw std::invalid_argument(
+        "MediaAgingConfig::Exponential: mean gap must be >= 0 (0 = off); got " +
+        std::to_string(mean_gap_s));
+  }
   MediaAgingConfig config;
   if (mean_gap_s > 0.0) {
     config.event_gap = std::make_shared<ExponentialDistribution>(mean_gap_s);

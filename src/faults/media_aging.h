@@ -50,8 +50,8 @@ struct MediaAgingConfig {
   bool enabled() const { return event_gap != nullptr; }
 
   // Memoryless damage arrivals with the given mean gap (seconds per event per
-  // platter); the reliability-standard parameterization, mirroring
-  // FaultProcess::Exponential.
+  // platter; 0 disables aging, a negative gap throws); the reliability-standard
+  // parameterization, mirroring FaultProcess::Exponential.
   static MediaAgingConfig Exponential(double mean_gap_s);
 };
 

@@ -24,50 +24,48 @@ namespace {
 constexpr double kNever = 1e30;
 
 void ValidateFederationConfig(const FederationConfig& config) {
-  const auto reject = [](const std::string& what) {
-    throw std::invalid_argument("SimulateFederation: " + what);
+  // Conditions are written so that NaN fails them.
+  const auto check = [](bool ok, const std::string& what, auto got) {
+    if (!ok) {
+      throw std::invalid_argument("SimulateFederation: " + what + " (got " +
+                                  std::to_string(got) + ")");
+    }
   };
-  if (config.num_libraries < 1) {
-    reject("num_libraries must be >= 1 (got " +
-           std::to_string(config.num_libraries) + ")");
+  const int n = config.num_libraries;
+  check(n >= 1, "num_libraries must be >= 1", n);
+  check(config.replication >= 1 && config.replication <= n,
+        "replication must be in [1, num_libraries]", config.replication);
+  check(config.tenants >= 1, "tenants must be >= 1", config.tenants);
+  check(config.demand_skew_sigma >= 0.0 && std::isfinite(config.demand_skew_sigma),
+        "demand_skew_sigma must be finite and >= 0", config.demand_skew_sigma);
+  check(config.geo_read_fraction >= 0.0 && config.geo_read_fraction <= 1.0,
+        "geo_read_fraction must be in [0, 1]", config.geo_read_fraction);
+  check(config.base_latency_s > 0.0, "base_latency_s must be > 0", config.base_latency_s);
+  check(config.hop_latency_s >= 0.0, "hop_latency_s must be >= 0", config.hop_latency_s);
+  check(config.threads >= 1, "threads must be >= 1", config.threads);
+  check(config.blackout_library >= -1 && config.blackout_library < n,
+        "blackout_library must be -1 (none) or in [0, num_libraries)", config.blackout_library);
+  if (config.blackout_library >= 0) {
+    check(config.blackout_start_s >= 0.0, "blackout_start_s must be >= 0",
+          config.blackout_start_s);
+    check(config.blackout_duration_s > 0.0, "blackout_duration_s must be > 0",
+          config.blackout_duration_s);
   }
-  if (config.replication < 1) {
-    reject("replication must be >= 1 (got " +
-           std::to_string(config.replication) + ")");
-  }
-  if (config.tenants < 1) {
-    reject("tenants must be >= 1 (got " + std::to_string(config.tenants) + ")");
-  }
-  if (config.demand_skew_sigma < 0.0 || !std::isfinite(config.demand_skew_sigma)) {
-    reject("demand_skew_sigma must be finite and >= 0");
-  }
-  if (config.geo_read_fraction < 0.0 || config.geo_read_fraction > 1.0) {
-    reject("geo_read_fraction must be in [0, 1]");
-  }
-  if (!(config.base_latency_s > 0.0) || !(config.hop_latency_s >= 0.0)) {
-    reject("base_latency_s must be > 0 and hop_latency_s >= 0");
-  }
-  if (config.threads < 1) {
-    reject("threads must be >= 1 (got " + std::to_string(config.threads) + ")");
-  }
-  if (config.blackout_library >= config.num_libraries) {
-    reject("blackout_library must be < num_libraries");
-  }
-  if (config.blackout_library >= 0 && !(config.blackout_duration_s > 0.0)) {
-    reject("blackout_duration_s must be > 0 when blackout_library is set");
-  }
-  if (config.evacuate_library >= config.num_libraries) {
-    reject("evacuate_library must be < num_libraries");
-  }
-  if (config.replication_writes_per_hour < 0.0) {
-    reject("replication_writes_per_hour must be >= 0");
-  }
+  check(config.evacuate_library >= -1 && config.evacuate_library < n,
+        "evacuate_library must be -1 (none) or in [0, num_libraries)", config.evacuate_library);
+  check(config.evacuate_library < 0 || config.evacuate_at_s >= 0.0,
+        "evacuate_at_s must be >= 0", config.evacuate_at_s);
+  check(config.replication_writes_per_hour >= 0.0, "replication_writes_per_hour must be >= 0",
+        config.replication_writes_per_hour);
   if (config.library.federation != nullptr) {
-    reject("library.federation must be null (the driver installs its own hooks)");
+    throw std::invalid_argument(
+        "SimulateFederation: library.federation must be null (the driver installs its own "
+        "hooks)");
   }
   if (config.library.telemetry != nullptr) {
-    reject("library.telemetry must be null (twins run concurrently; attach "
-           "telemetry to the federation config instead)");
+    throw std::invalid_argument(
+        "SimulateFederation: library.telemetry must be null (twins run concurrently; attach "
+        "telemetry to the federation config instead)");
   }
 }
 

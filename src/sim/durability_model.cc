@@ -5,6 +5,8 @@
 #include <limits>
 #include <sstream>
 #include <stdexcept>
+#include <string>
+#include <utility>
 
 #include "common/state_io.h"
 
@@ -20,12 +22,21 @@ DurabilityModel::DurabilityModel(const DurabilityConfig& config)
     : config_(config) {
   if (config_.num_sets < 1 || config_.k < 1 || config_.n <= config_.k) {
     throw std::invalid_argument(
-        "DurabilityModel: need num_sets >= 1 and n > k >= 1");
+        "DurabilityModel: need num_sets >= 1 and n > k >= 1 (got num_sets=" +
+        std::to_string(config_.num_sets) + ", n=" + std::to_string(config_.n) +
+        ", k=" + std::to_string(config_.k) + ")");
   }
-  if (config_.fail_rate_per_platter_year <= 0.0 ||
-      config_.repair_bandwidth_bytes_per_s <= 0.0 ||
-      config_.scrub_interval_s <= 0.0 || config_.horizon_s <= 0.0) {
-    throw std::invalid_argument("DurabilityModel: rates must be positive");
+  const std::pair<const char*, double> positive[] = {
+      {"fail_rate_per_platter_year", config_.fail_rate_per_platter_year},
+      {"repair_bandwidth_bytes_per_s", config_.repair_bandwidth_bytes_per_s},
+      {"scrub_interval_s", config_.scrub_interval_s},
+      {"horizon_s", config_.horizon_s}};
+  for (const auto& [name, value] : positive) {
+    if (!(value > 0.0)) {
+      throw std::invalid_argument(std::string("DurabilityModel: ") + name +
+                                  " must be > 0 (got " + std::to_string(value) +
+                                  ")");
+    }
   }
 }
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <memory>
+#include <stdexcept>
 
 #include "common/units.h"
 
@@ -38,6 +39,21 @@ TraceProfile TraceProfile::Volume(uint64_t seed) {
   p.size_scale = 5.0;
   p.seed = seed;
   return p;
+}
+
+std::vector<std::string> TraceProfile::Names() { return {"iops", "volume", "typical"}; }
+
+TraceProfile TraceProfile::Named(std::string_view name, uint64_t seed) {
+  if (name == "iops") {
+    return Iops(seed);
+  }
+  if (name == "volume") {
+    return Volume(seed);
+  }
+  if (name == "typical") {
+    return Typical(seed);
+  }
+  throw std::invalid_argument("unknown trace profile \"" + std::string(name) + "\"");
 }
 
 TraceProfile TraceProfile::SteadyPoisson(double rate_per_s, double file_bytes,

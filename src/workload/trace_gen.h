@@ -11,6 +11,8 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "core/request.h"
 #include "workload/file_size_model.h"
@@ -48,6 +50,10 @@ struct TraceProfile {
   static TraceProfile Volume(uint64_t seed = 1);
   static TraceProfile SteadyPoisson(double rate_per_s, double file_bytes,
                                     uint64_t seed = 1);
+  // The evaluated intervals by name, for command lines: "iops", "volume" and
+  // "typical". Named throws std::invalid_argument on any other name.
+  static std::vector<std::string> Names();
+  static TraceProfile Named(std::string_view name, uint64_t seed);
 
   double total_duration_s() const { return warmup_s + window_s + cooldown_s; }
   double measure_start() const { return warmup_s; }

@@ -893,6 +893,40 @@ TEST(DurabilityModel, ExtraRedundancyBuysDurability) {
       << "n=7,k=4 must beat n=5,k=4 at the same budget";
 }
 
+TEST(DurabilityModel, EstimateRejectsEveryBound) {
+  const auto expect_rejected = [](const DurabilityConfig& config, int roots,
+                                  int split_k, const std::string& needle) {
+    try {
+      (void)EstimateMttdl(config, roots, split_k);
+      FAIL() << "expected std::invalid_argument mentioning \"" << needle << "\"";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(needle), std::string::npos)
+          << e.what();
+    }
+  };
+  const DurabilityConfig good = FragileFleet();
+  expect_rejected(good, 1, 4, "roots");
+  expect_rejected(good, 50, 0, "split_k");
+  DurabilityConfig c = good;
+  c.num_sets = 0;
+  expect_rejected(c, 50, 4, "num_sets");
+  c = good;
+  c.k = c.n;
+  expect_rejected(c, 50, 4, "n > k");
+  c = good;
+  c.fail_rate_per_platter_year = 0.0;
+  expect_rejected(c, 50, 4, "fail_rate_per_platter_year");
+  c = good;
+  c.repair_bandwidth_bytes_per_s = -1.0;
+  expect_rejected(c, 50, 4, "repair_bandwidth_bytes_per_s");
+  c = good;
+  c.scrub_interval_s = 0.0;
+  expect_rejected(c, 50, 4, "scrub_interval_s");
+  c = good;
+  c.horizon_s = 0.0;
+  expect_rejected(c, 50, 4, "horizon_s");
+}
+
 TEST(DurabilityModel, JsonReportIsWellFormed) {
   const auto config = FragileFleet();
   const auto estimate = EstimateMttdl(config, /*roots=*/50, /*split_k=*/4);

@@ -188,6 +188,39 @@ TEST(Federation, RejectsMalformedConfigs) {
   EXPECT_THROW((void)SimulateFederation(bad_blackout), std::invalid_argument);
 }
 
+TEST(Federation, ValidatorOwnsCommandLineBounds) {
+  const auto expect_rejected = [](const FederationConfig& fc,
+                                  const std::string& needle) {
+    try {
+      (void)SimulateFederation(fc);
+      FAIL() << "expected std::invalid_argument mentioning \"" << needle << "\"";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(needle), std::string::npos)
+          << e.what();
+    }
+  };
+  FederationConfig fc = SmallConfig(1, 2, 1);
+  fc.replication = 3;
+  expect_rejected(fc, "replication");
+
+  fc = SmallConfig(1, 2, 1);
+  fc.blackout_library = -2;
+  expect_rejected(fc, "blackout_library");
+  fc = SmallConfig(1, 2, 1);
+  fc.blackout_library = 1;
+  fc.blackout_start_s = -1.0;
+  fc.blackout_duration_s = 60.0;
+  expect_rejected(fc, "blackout_start_s");
+
+  fc = SmallConfig(1, 2, 1);
+  fc.evacuate_library = -2;
+  expect_rejected(fc, "evacuate_library");
+  fc = SmallConfig(1, 2, 1);
+  fc.evacuate_library = 1;
+  fc.evacuate_at_s = -1.0;
+  expect_rejected(fc, "evacuate_at_s");
+}
+
 // ---------- placement / routing ----------
 
 TEST(Placement, ReplicaSetsIncludeHomeAndRouteToLeastLoaded) {

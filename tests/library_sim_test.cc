@@ -269,6 +269,89 @@ TEST(LibrarySim, ConfigValidationRejectsBadKnobs) {
   EXPECT_EQ(SimulateLibrary(config, trace).requests_completed, 1u);
 }
 
+// Bounds that only the command line used to check now live in the validator,
+// so every library caller gets them too.
+TEST(LibrarySim, ConfigValidationOwnsCommandLineBounds) {
+  const ReadTrace trace = UniformTrace(1, 1.0, 400, 1);
+  const auto expect_rejected = [&trace](LibrarySimConfig config,
+                                        const std::string& needle) {
+    try {
+      SimulateLibrary(config, trace);
+      FAIL() << "expected std::invalid_argument mentioning \"" << needle << "\"";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(needle), std::string::npos)
+          << e.what();
+    }
+  };
+  const auto small = [] {
+    return SmallConfig(LibraryConfig::Policy::kPartitioned);
+  };
+
+  auto config = small();
+  config.scrub.platter_interval_s = 0.0;
+  expect_rejected(config, "scrub.platter_interval_s");
+  config = small();
+  config.scrub.track_sample_fraction = 0.0;
+  expect_rejected(config, "scrub.track_sample_fraction");
+  config.scrub.track_sample_fraction = 1.5;
+  expect_rejected(config, "scrub.track_sample_fraction");
+
+  config = small();
+  config.faults.aging.max_sectors_per_event = 0;
+  expect_rejected(config, "max_sectors_per_event");
+
+  config = small();
+  config.platter_set_info = 0;
+  expect_rejected(config, "platter_set_info");
+  config = small();
+  config.platter_set_redundancy = 0;
+  expect_rejected(config, "platter_set_redundancy");
+
+  config = small();
+  config.fleet_loss_fraction = 1.0;
+  expect_rejected(config, "fleet_loss_fraction");
+
+  config = small();
+  config.blackout_partition = -2;
+  expect_rejected(config, "blackout_partition");
+  config = small();
+  config.blackout_partition = 0;
+  config.blackout_duration_s = 0.0;
+  expect_rejected(config, "blackout_duration_s");
+  config = SmallConfig(LibraryConfig::Policy::kShortestPaths);
+  config.blackout_partition = 0;
+  config.blackout_duration_s = 60.0;
+  expect_rejected(config, "partitioned policy");
+
+  config = SmallConfig(LibraryConfig::Policy::kNoShuttles);
+  config.library.repartition_interval_s = 600.0;
+  expect_rejected(config, "partitioned policy");
+
+  config = small();
+  config.library.congestion_aware_routing = true;
+  config.library.congestion_detour_shelves = 0;
+  expect_rejected(config, "congestion_detour_shelves");
+
+  config = small();
+  config.write_platters_per_hour = -1.0;
+  expect_rejected(config, "write_platters_per_hour");
+  config = small();
+  config.write_surge_factor = 2.0;
+  config.write_surge_duration_s = 600.0;
+  expect_rejected(config, "write_platters_per_hour > 0");
+  config.write_platters_per_hour = 1.0;
+  config.write_surge_duration_s = 0.0;
+  expect_rejected(config, "write_surge_duration_s > 0");
+}
+
+TEST(LibrarySim, ExponentialLawsRejectNegativeMeans) {
+  EXPECT_THROW(FaultProcess::Exponential(-1.0, 0.0), std::invalid_argument);
+  EXPECT_THROW(FaultProcess::Exponential(100.0, -1.0), std::invalid_argument);
+  EXPECT_FALSE(FaultProcess::Exponential(0.0, 0.0).enabled());
+  EXPECT_THROW(MediaAgingConfig::Exponential(-1.0), std::invalid_argument);
+  EXPECT_FALSE(MediaAgingConfig::Exponential(0.0).enabled());
+}
+
 TEST(LibrarySim, ScenarioKnobsConserveRequests) {
   auto config = SmallConfig(LibraryConfig::Policy::kPartitioned);
   config.fleet_loss_fraction = 0.25;

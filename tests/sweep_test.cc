@@ -66,6 +66,11 @@ TEST(RunSweep, IndexOwnedWritesCoverEveryCell) {
   }
 }
 
+TEST(RunSweep, RejectsThreadsBelowOne) {
+  EXPECT_THROW(RunSweep<int>(4, 0, [](size_t i) { return static_cast<int>(i); }),
+               std::invalid_argument);
+}
+
 TEST(RunSweep, MoreThreadsThanCellsIsFine) {
   const auto results = RunSweep<int>(3, 64, [](size_t i) {
     return static_cast<int>(i) + 1;

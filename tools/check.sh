@@ -4,8 +4,14 @@
 #   tools/check.sh            # tier-1 + ASan/UBSan pass
 #   tools/check.sh --fast     # tier-1 only
 #   tools/check.sh --tsan     # tier-1 + TSan over the threaded data-plane tests
+#
+# Any other argument is a usage error (exit 2).
 set -euo pipefail
 cd "$(dirname "$0")/.."
+if [[ $# -gt 1 || ! "${1:-}" =~ ^(--fast|--tsan)?$ ]]; then
+  echo "error: unknown arguments '$*' (tools/check.sh takes --fast or --tsan)" >&2
+  exit 2
+fi
 
 jobs=$(nproc 2>/dev/null || echo 4)
 
@@ -212,6 +218,6 @@ cmake --preset asan >/dev/null
 cmake --build --preset asan -j "$jobs" --target silica_tests
 ASAN_OPTIONS=detect_leaks=1 UBSAN_OPTIONS=print_stacktrace=1 \
   ./build-asan/tests/silica_tests \
-  --gtest_filter='Rng.*:ParallelFor.*:ThreadPool*:Simulator.*:SimEquivalence.*:CalendarQueueDirect.*:SchedulerEquivalence.*:SchedulerTelemetry.*:ShardedScheduler.*:Partitioner.*:MetricsRegistry.*:Tracer.*:Telemetry.*:Gf256Kernels.*:FaultInjector.*:FaultInjectorState.*:FaultedLibrary.*:MediaAging.*:PlatterRepair.*:ScrubbedLibrary.*:RngState.*:Checkpoint.*:ConvertedTypes/CheckpointRoundTrip.*:LazyRepair*:DurabilityModel.*:Federation.*:Placement.*:FrontendProtocolTest.*:FrontendTest.*:RequestStreamTest.*:DataPlaneParallel.*:DataPipelineTest.*:SoftDecoder.*:SectorCodecTest.*:ReadChannel.*:Constellation.*'
+  --gtest_filter='Flags.*:Rng.*:ParallelFor.*:ThreadPool*:Simulator.*:SimEquivalence.*:CalendarQueueDirect.*:SchedulerEquivalence.*:SchedulerTelemetry.*:ShardedScheduler.*:Partitioner.*:MetricsRegistry.*:Tracer.*:Telemetry.*:Gf256Kernels.*:FaultInjector.*:FaultInjectorState.*:FaultedLibrary.*:MediaAging.*:PlatterRepair.*:ScrubbedLibrary.*:RngState.*:Checkpoint.*:ConvertedTypes/CheckpointRoundTrip.*:LazyRepair*:DurabilityModel.*:Federation.*:Placement.*:FrontendProtocolTest.*:FrontendTest.*:RequestStreamTest.*:DataPlaneParallel.*:DataPipelineTest.*:SoftDecoder.*:SectorCodecTest.*:ReadChannel.*:Constellation.*'
 
 echo "== OK =="

@@ -1,19 +1,17 @@
 #!/usr/bin/env python3
-"""Recompute the behavioural contract and compare it with, or rewrite, CONTRACT.json.
+"""Recompute the behavioural contract and check or rewrite CONTRACT.json.
 
 The contract is a set of deterministic digests of what the simulator prints:
 fig9's table, the checkpoint round-trip report, the per-size federation state
-hashes, and the data-plane decode checksums. A change that is meant to keep
-the model's behaviour must leave every digest alone; a change that is meant to
-move it re-pins the file, and the moved digests show up in review.
+hashes and the data-plane decode checksums. A change meant to keep the model's
+behaviour leaves every digest alone; a change meant to move it re-pins the
+file, and the moved digests show up in review.
 
-Usage:
-    tools/repin_contract.py [--build-dir=build]            # rewrite CONTRACT.json
+    tools/repin_contract.py [--build-dir=build]                  # rewrite
     tools/repin_contract.py --check [--build-dir=build] [NAME ...]
 
---check recomputes the named entries (all by default), prints each mismatch and
-exits 1 if any digest moved. Without --check the file is rewritten and the
-moved digests are printed, one line each.
+--check recomputes the named entries (default all) and exits 1 if any moved.
+Both modes print each moved digest, old -> new.
 """
 import argparse
 import hashlib
@@ -27,13 +25,8 @@ CONTRACT = REPO / "CONTRACT.json"
 
 
 def run(build_dir, *argv):
-    out = subprocess.run([str(build_dir / argv[0]), *argv[1:]],
-                         check=True, stdout=subprocess.PIPE).stdout
-    return out
-
-
-def md5(data):
-    return hashlib.md5(data).hexdigest()
+    return subprocess.run([str(build_dir / argv[0]), *argv[1:]], check=True,
+                          stdout=subprocess.PIPE).stdout
 
 
 def only(values, what):
@@ -43,40 +36,29 @@ def only(values, what):
     return distinct[0]
 
 
-def fig9_stdout_md5(build_dir):
-    return md5(run(build_dir, "bench/bench_fig9_full_library"))
-
-
-def checkpoint_report_md5(build_dir):
-    return md5(run(build_dir, "tools/silica_sim", "--profile=iops",
-                   "--platters=300", "--seed=7", "--checkpoint-at=900",
-                   "--json"))
-
-
 def federation_hashes(build_dir):
-    report = json.loads(run(build_dir, "bench/bench_federation", "--json",
-                            "--skip-speedup-gate"))
-    by_size = {}
-    for cell in report["cells"]:
-        by_size.setdefault(cell["libraries"], []).append(cell["hash"])
-    return [only(hashes, f"{size}-library hashes")
-            for size, hashes in sorted(by_size.items())]
+    cells = json.loads(run(build_dir, "bench/bench_federation", "--json",
+                           "--skip-speedup-gate"))["cells"]
+    sizes = sorted({c["libraries"] for c in cells})
+    return [only([c["hash"] for c in cells if c["libraries"] == size],
+                 f"{size}-library hashes") for size in sizes]
 
 
 def decode_checksums(build_dir):
     report = json.loads(run(build_dir, "bench/bench_decode_stack", "--json",
                             "--threads=4"))
-    return {
-        "payload": only([r["payload_checksum"] for r in report["runs"]],
-                        "payload checksums"),
-        "tier": only([t["checksum"] for t in report["simd"]["tiers"]],
-                     "tier checksums"),
-    }
+    return {"payload": only([r["payload_checksum"] for r in report["runs"]],
+                            "payload checksums"),
+            "tier": only([t["checksum"] for t in report["simd"]["tiers"]],
+                         "tier checksums")}
 
 
 ENTRIES = {
-    "fig9_stdout_md5": fig9_stdout_md5,
-    "checkpoint_report_md5": checkpoint_report_md5,
+    "fig9_stdout_md5": lambda b: hashlib.md5(
+        run(b, "bench/bench_fig9_full_library")).hexdigest(),
+    "checkpoint_report_md5": lambda b: hashlib.md5(run(
+        b, "tools/silica_sim", "--profile=iops", "--platters=300", "--seed=7",
+        "--checkpoint-at=900", "--json")).hexdigest(),
     "federation_hashes": federation_hashes,
     "decode_checksums": decode_checksums,
 }
@@ -87,33 +69,26 @@ def main():
     parser.add_argument("--build-dir", default=str(REPO / "build"))
     parser.add_argument("--check", action="store_true")
     parser.add_argument("names", nargs="*", metavar="NAME",
-                        help=f"entries to recompute: {', '.join(ENTRIES)}")
+                        help=f"entries: {', '.join(ENTRIES)}")
     args = parser.parse_args()
-    unknown = sorted(set(args.names) - set(ENTRIES))
-    if unknown:
-        parser.error(f"unknown entries {unknown}")
-    build_dir = pathlib.Path(args.build_dir)
+    if set(args.names) - set(ENTRIES):
+        parser.error(f"unknown entries {sorted(set(args.names) - set(ENTRIES))}")
     names = args.names or list(ENTRIES)
     pinned = json.loads(CONTRACT.read_text()) if CONTRACT.exists() else {}
-
-    moved = []
     current = dict(pinned)
+    moved = []
     for name in names:
-        current[name] = ENTRIES[name](build_dir)
+        current[name] = ENTRIES[name](pathlib.Path(args.build_dir))
         if pinned.get(name) != current[name]:
             moved.append(name)
             print(f"{name}: {json.dumps(pinned.get(name))} -> "
                   f"{json.dumps(current[name])}")
-
     if args.check:
-        if moved:
-            print(f"contract broken: {len(moved)} of {len(names)} digests moved "
-                  "(re-pin with tools/repin_contract.py if intended)")
-            return 1
-        print(f"contract holds: {', '.join(names)}")
-        return 0
+        print(f"contract {'broken' if moved else 'holds'}: {len(moved)} of "
+              f"{len(names)} digests moved")
+        return 1 if moved else 0
     CONTRACT.write_text(json.dumps(current, indent=2, sort_keys=True) + "\n")
-    print(f"CONTRACT.json: {len(moved)} digests moved")
+    print(f"CONTRACT.json rewritten: {len(moved)} digests moved")
     return 0
 
 

@@ -1,37 +1,35 @@
 // silica_sim: run the library digital twin from the command line.
 //
-//   silica_sim --profile=iops --policy=silica|sp|ns --shuttles=20 --mbps=60
-//              [--platters=3000] [--seed=1] [--unavailable=0.1] [--zipf=0.9]
-//              [--no-stealing] [--no-grouping] [--no-fast-switch]
-//              [--fault-shuttle-mtbf=S --fault-shuttle-mttr=S]
-//              [--fault-drive-mtbf=S --fault-drive-mttr=S]
-//              [--fault-rack-mtbf=S --fault-rack-mttr=S] [--fault-until=S]
-//              [--aging-mtbe=S --aging-max-sectors=N]
-//              [--scrub --scrub-interval=S --scrub-sample=F]
-//              [--replications=N --sweep-threads=K]
-//              [--threads=1] [--simd=auto|scalar|avx2|neon]
-//              [--metrics-out=m.json|m.prom] [--trace-out=t.json]
-//              [--trace-categories=shuttle,drive,scheduler,pipeline] [--json]
+// Three modes, chosen by the flags given: the twin (the default), a federation
+// of twins (--federation=N) and the set-level MTTDL estimator (--mttdl=...).
+// Each mode accepts only the flags it reads, and prints its own flag table:
+//   silica_sim --help
+//   silica_sim --federation=1 --help
+//   silica_sim --mttdl=split --help
 //
-// Prints a one-screen report: completion percentiles, drive split, shuttle stats.
-// With --json the report is a single machine-readable JSON object instead (for
-// bench trajectory tracking; see tools/compare_runs.py). --metrics-out snapshots
-// the metrics registry (Prometheus text, or JSON when the path ends in .json);
-// --trace-out writes a Chrome/Perfetto-loadable trace of the run.
+// The twin prints a one-screen report: completion percentiles, drive split,
+// shuttle stats. With --json the report is a single machine-readable JSON object
+// instead (for bench trajectory tracking; see tools/compare_runs.py).
+// --metrics-out snapshots the metrics registry (Prometheus text, or JSON when the
+// path ends in .json); --trace-out writes a Chrome/Perfetto-loadable trace.
+//
+// Exit status: 0 ok, 1 a checkpoint divergence or an unwritable output file,
+// 2 a usage or config error.
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <memory>
-#include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "common/flags.h"
 #include "common/state_io.h"
 #include "common/units.h"
-#include "ecc/simd/gf256_kernels.h"
 #include "core/library_sim.h"
 #include "core/sweep.h"
+#include "ecc/simd/gf256_kernels.h"
 #include "federation/federation.h"
-#include "flags.h"
 #include "sim/durability_model.h"
 #include "telemetry/telemetry.h"
 #include "workload/trace_gen.h"
@@ -39,243 +37,152 @@
 
 namespace {
 
+using namespace silica;
+
+using ull = unsigned long long;  // printf's %llu
+
+constexpr double kSecondsPerYear = 365.25 * 24.0 * 3600.0;
+
+// --policy's choices, in LibraryConfig::Policy order.
+const std::vector<std::string> kPolicies = {"silica", "sp", "ns"};
+
+// The per-library twin template of the twin and the federation modes, and the
+// flags that fill it.
+struct TwinTemplate {
+  std::string profile = "iops";
+  std::string policy = "silica";
+  double zipf = 0.0;
+  LibrarySimConfig config;
+
+  explicit TwinTemplate(FlagSet& flags) {
+    flags.Enum("profile", &profile, TraceProfile::Names(), "read-trace profile")
+        .Uint("seed", &config.seed, "random seed")
+        .Double("zipf", &zipf, "Zipf skew of platter popularity")
+        .Enum("policy", &policy, kPolicies, "partitions, shortest paths, or no shuttles")
+        .Int("shuttles", &config.library.num_shuttles, "shuttles per library")
+        .Double("mbps", &config.library.drive_throughput_mbps, "read-drive throughput, MB/s")
+        .Uint("platters", &config.num_info_platters, "information platters per library")
+        .Double("write-rate", &config.write_platters_per_hour,
+                "explicit write pipeline: platters ejected per hour (0 = off)");
+  }
+
+  TraceProfile Profile(uint64_t seed) const {
+    TraceProfile p = TraceProfile::Named(profile, seed);
+    p.zipf_skew = zipf;
+    return p;
+  }
+
+  LibrarySimConfig Config() const {
+    LibrarySimConfig c = config;
+    c.library.policy = static_cast<LibraryConfig::Policy>(
+        std::find(kPolicies.begin(), kPolicies.end(), policy) - kPolicies.begin());
+    return c;
+  }
+};
+
 // Standalone rare-event MTTDL estimation on the set-level durability model
-// (no library twin): importance splitting by default, --mttdl=mc for the
-// brute-force Monte Carlo baseline. Always prints one JSON object.
-int RunMttdl(const silica::Flags& flags) {
-  using namespace silica;
-  const std::string mode = flags.Get("mttdl", "split");
-  if (mode != "split" && mode != "mc") {
-    std::fprintf(stderr, "error: --mttdl must be split or mc; got %s\n",
-                 mode.c_str());
-    return 1;
-  }
+// (no library twin): importance splitting, or brute-force Monte Carlo with
+// --mttdl=mc. Always prints one JSON object.
+int RunMttdl(const CommandLine& line) {
+  std::string mode = "split";
   DurabilityConfig config;
-  config.num_sets = static_cast<int>(flags.GetInt("sets", config.num_sets));
-  config.n = static_cast<int>(flags.GetInt("set-n", config.n));
-  config.k = static_cast<int>(flags.GetInt("set-k", config.k));
-  if (config.k < 1 || config.n <= config.k) {
-    std::fprintf(stderr,
-                 "error: need 1 <= --set-k < --set-n (k data + n-k redundancy "
-                 "platters per set); got n=%d k=%d\n",
-                 config.n, config.k);
-    return 1;
+  double horizon_years = config.horizon_s / kSecondsPerYear;
+  int roots = 200;
+  int split_k = 8;
+  FlagSet flags("silica_sim --mttdl",
+                "Rare-event MTTDL of the set-level durability model (no twin); prints one JSON "
+                "object.");
+  flags.Enum("mttdl", &mode, {"split", "mc"}, "importance splitting, or brute-force Monte Carlo")
+      .Int("sets", &config.num_sets, "platter sets")
+      .Int("set-n", &config.n, "platters per set")
+      .Int("set-k", &config.k, "data platters per set")
+      .Double("platter-bytes", &config.platter_bytes, "bytes per platter")
+      .Double("fail-rate", &config.fail_rate_per_platter_year, "failures per platter-year")
+      .Double("scrub-interval", &config.scrub_interval_s, "scrub cycle, s")
+      .Double("repair-bandwidth", &config.repair_bandwidth_bytes_per_s, "repair bytes per second")
+      .Bool("lazy", &config.lazy, "one global repair budget instead of eager per-repair bandwidth")
+      .Double("horizon-years", &horizon_years, "mission time, years")
+      .Uint("seed", &config.seed, "random seed")
+      .Int("roots", &roots, "independent root trajectories")
+      .Int("split-k", &split_k, "splitting factor (split mode)");
+  if (!flags.Parse(line)) {
+    return 0;
   }
-  if (config.num_sets < 1) {
-    std::fprintf(stderr, "error: --sets must be >= 1; got %d\n",
-                 config.num_sets);
-    return 1;
-  }
-  config.platter_bytes = flags.GetDouble("platter-bytes", config.platter_bytes);
-  config.fail_rate_per_platter_year =
-      flags.GetDouble("fail-rate", config.fail_rate_per_platter_year);
-  if (!(config.fail_rate_per_platter_year > 0.0)) {
-    std::fprintf(stderr, "error: --fail-rate must be > 0 per platter-year\n");
-    return 1;
-  }
-  config.scrub_interval_s =
-      flags.GetDouble("scrub-interval", config.scrub_interval_s);
-  config.repair_bandwidth_bytes_per_s =
-      flags.GetDouble("repair-bandwidth", config.repair_bandwidth_bytes_per_s);
-  if (!(config.scrub_interval_s > 0.0) ||
-      !(config.repair_bandwidth_bytes_per_s > 0.0)) {
-    std::fprintf(
-        stderr,
-        "error: --scrub-interval and --repair-bandwidth must be > 0\n");
-    return 1;
-  }
-  config.lazy = flags.Has("lazy");
-  const double horizon_years = flags.GetDouble("horizon-years", 10.0);
-  if (!(horizon_years > 0.0)) {
-    std::fprintf(stderr, "error: --horizon-years must be > 0\n");
-    return 1;
-  }
-  config.horizon_s = horizon_years * 365.25 * 24.0 * 3600.0;
-  config.seed = static_cast<uint64_t>(
-      flags.GetInt("seed", static_cast<long>(config.seed)));
-  const int roots = static_cast<int>(flags.GetInt("roots", 200));
-  const int split_k =
-      mode == "mc" ? 1 : static_cast<int>(flags.GetInt("split-k", 8));
-  if (roots < 2 || split_k < 1) {
-    std::fprintf(stderr,
-                 "error: --roots must be >= 2 (CI needs a variance) and "
-                 "--split-k >= 1; got roots=%d split-k=%d\n",
-                 roots, split_k);
-    return 1;
+  config.horizon_s = horizon_years * kSecondsPerYear;
+  if (mode == "mc") {
+    split_k = 1;
   }
   const MttdlEstimate estimate = EstimateMttdl(config, roots, split_k);
   std::printf("%s\n", MttdlEstimateToJson(config, estimate, split_k, 2).c_str());
   return 0;
 }
 
-bool EndsWith(const std::string& s, const std::string& suffix);
+// Writes a metrics snapshot: JSON when the path ends in .json, else Prometheus
+// text. False when the file could not be written.
+bool WriteMetrics(const std::string& path, const MetricsRegistry& metrics) {
+  std::ofstream out(path);
+  out << (path.ends_with(".json") ? metrics.ToJson() : metrics.ToPrometheusText());
+  return static_cast<bool>(out);
+}
 
 // Multi-library federation mode (--federation=N): N digital twins advance in
 // lookahead-sized epochs under conservative synchronization, exchanging
 // geo-routed reads, replication writes, and cross-library repair transfers at
 // the barrier. Deterministic for every --federation-threads value.
-int RunFederation(const silica::Flags& flags) {
-  using namespace silica;
+int RunFederation(const CommandLine& line) {
   FederationConfig config;
-  config.num_libraries = static_cast<int>(flags.GetInt("federation", 0));
-  if (config.num_libraries < 1) {
-    std::fprintf(stderr, "error: --federation must be >= 1 libraries; got %d\n",
-                 config.num_libraries);
-    return 1;
+  bool json = false;
+  std::string metrics_out;
+  FlagSet flags("silica_sim --federation",
+                "N library twins under conservative epoch sync, exchanging geo reads, replication "
+                "writes and repair transfers.");
+  flags.Int("federation", &config.num_libraries, "libraries")
+      .Int("federation-threads", &config.threads,
+           "libraries simulated in parallel per epoch; output is identical for every value")
+      .Int("replication", &config.replication, "replica-set width")
+      .Int("tenants", &config.tenants, "tenants")
+      .Double("demand-skew", &config.demand_skew_sigma, "log-normal sigma of per-site demand")
+      .Double("geo-reads", &config.geo_read_fraction,
+              "fraction of reads routed to the least-loaded replica")
+      .Double("base-latency", &config.base_latency_s,
+              "inter-site latency base, s; the minimum pair latency is the lookahead")
+      .Double("hop-latency", &config.hop_latency_s, "inter-site latency per ring hop, s")
+      .Int("fed-blackout-library", &config.blackout_library,
+           "library cut off from messages and routing for a window (-1 = none)")
+      .Double("fed-blackout-start", &config.blackout_start_s, "blackout start, s")
+      .Requires("fed-blackout-library")
+      .Double("fed-blackout-duration", &config.blackout_duration_s, "blackout length, s")
+      .Requires("fed-blackout-library")
+      .Int("evacuate-library", &config.evacuate_library,
+           "re-home this library's tenants' geo reads (-1 = none)")
+      .Double("evacuate-at", &config.evacuate_at_s, "evacuation time, s")
+      .Requires("evacuate-library")
+      .Double("replicate-rate", &config.replication_writes_per_hour,
+              "cross-site replication writes per library per hour")
+      .Double("replicate-until", &config.replication_until_s, "last replication write, s")
+      .Requires("replicate-rate");
+  TwinTemplate twin(flags);
+  flags.Bool("json", &json, "machine-readable report on stdout")
+      .String("metrics-out", &metrics_out, "metrics file (.json -> JSON, else Prometheus text)");
+  if (!flags.Parse(line)) {
+    return 0;
   }
-  config.threads = static_cast<int>(flags.GetInt("federation-threads", 1));
-  if (config.threads < 1) {
-    std::fprintf(stderr, "error: --federation-threads must be >= 1; got %d\n",
-                 config.threads);
-    return 1;
-  }
-  config.replication = static_cast<int>(flags.GetInt("replication", 2));
-  config.tenants = static_cast<int>(flags.GetInt("tenants", 64));
-  if (config.replication < 1 || config.replication > config.num_libraries) {
-    std::fprintf(stderr,
-                 "error: --replication must be in [1, --federation]; got %d\n",
-                 config.replication);
-    return 1;
-  }
-  if (config.tenants < 1) {
-    std::fprintf(stderr, "error: --tenants must be >= 1; got %d\n",
-                 config.tenants);
-    return 1;
-  }
-  config.demand_skew_sigma = flags.GetDouble("demand-skew", 0.0);
-  if (config.demand_skew_sigma < 0.0) {
-    std::fprintf(stderr, "error: --demand-skew must be >= 0; got %g\n",
-                 config.demand_skew_sigma);
-    return 1;
-  }
-  config.geo_read_fraction = flags.GetDouble("geo-reads", 0.0);
-  if (config.geo_read_fraction < 0.0 || config.geo_read_fraction > 1.0) {
-    std::fprintf(stderr, "error: --geo-reads must be in [0, 1]; got %g\n",
-                 config.geo_read_fraction);
-    return 1;
-  }
-  config.base_latency_s = flags.GetDouble("base-latency", config.base_latency_s);
-  config.hop_latency_s = flags.GetDouble("hop-latency", config.hop_latency_s);
-  if (!(config.base_latency_s > 0.0) || config.hop_latency_s < 0.0) {
-    std::fprintf(stderr,
-                 "error: --base-latency must be > 0 and --hop-latency >= 0\n");
-    return 1;
-  }
-  if (flags.Has("fed-blackout-library")) {
-    config.blackout_library =
-        static_cast<int>(flags.GetInt("fed-blackout-library", -1));
-    config.blackout_start_s = flags.GetDouble("fed-blackout-start", 0.0);
-    config.blackout_duration_s = flags.GetDouble("fed-blackout-duration", 0.0);
-    if (config.blackout_library < 0 ||
-        config.blackout_library >= config.num_libraries) {
-      std::fprintf(stderr,
-                   "error: --fed-blackout-library must be in [0, --federation); "
-                   "got %d\n",
-                   config.blackout_library);
-      return 1;
-    }
-    if (config.blackout_start_s < 0.0 || config.blackout_duration_s <= 0.0) {
-      std::fprintf(stderr,
-                   "error: --fed-blackout-start must be >= 0 and "
-                   "--fed-blackout-duration > 0\n");
-      return 1;
-    }
-  } else {
-    for (const char* dependent :
-         {"fed-blackout-start", "fed-blackout-duration"}) {
-      if (flags.Has(dependent)) {
-        std::fprintf(stderr, "error: --%s requires --fed-blackout-library\n",
-                     dependent);
-        return 1;
-      }
-    }
-  }
-  if (flags.Has("evacuate-library")) {
-    config.evacuate_library =
-        static_cast<int>(flags.GetInt("evacuate-library", -1));
-    config.evacuate_at_s = flags.GetDouble("evacuate-at", 0.0);
-    if (config.evacuate_library < 0 ||
-        config.evacuate_library >= config.num_libraries) {
-      std::fprintf(stderr,
-                   "error: --evacuate-library must be in [0, --federation); "
-                   "got %d\n",
-                   config.evacuate_library);
-      return 1;
-    }
-    if (config.evacuate_at_s < 0.0) {
-      std::fprintf(stderr, "error: --evacuate-at must be >= 0 seconds\n");
-      return 1;
-    }
-  } else if (flags.Has("evacuate-at")) {
-    std::fprintf(stderr, "error: --evacuate-at requires --evacuate-library\n");
-    return 1;
-  }
-  if (flags.Has("replicate-rate")) {
-    config.replication_writes_per_hour = flags.GetDouble("replicate-rate", 0.0);
-    if (!(config.replication_writes_per_hour > 0.0)) {
-      std::fprintf(stderr,
-                   "error: --replicate-rate must be > 0 platters/hour\n");
-      return 1;
-    }
-    config.replication_until_s =
-        flags.GetDouble("replicate-until", config.replication_until_s);
-  } else if (flags.Has("replicate-until")) {
-    std::fprintf(stderr, "error: --replicate-until requires --replicate-rate\n");
-    return 1;
-  }
-
-  const auto seed = static_cast<uint64_t>(flags.GetInt("seed", 1));
-  const std::string name = flags.Get("profile", "iops");
-  config.profile = name == "iops"     ? TraceProfile::Iops(seed)
-                   : name == "volume" ? TraceProfile::Volume(seed)
-                                      : TraceProfile::Typical(seed);
-  config.profile.zipf_skew = flags.GetDouble("zipf", 0.0);
-  config.seed = seed;
-
-  const std::string policy = flags.Get("policy", "silica");
-  config.library.library.policy =
-      policy == "sp"   ? LibraryConfig::Policy::kShortestPaths
-      : policy == "ns" ? LibraryConfig::Policy::kNoShuttles
-                       : LibraryConfig::Policy::kPartitioned;
-  config.library.library.num_shuttles =
-      static_cast<int>(flags.GetInt("shuttles", 20));
-  config.library.library.drive_throughput_mbps = flags.GetDouble("mbps", 60.0);
-  config.library.num_info_platters =
-      static_cast<uint64_t>(flags.GetInt("platters", 3000));
+  config.seed = twin.config.seed;
+  config.profile = twin.Profile(config.seed);
+  config.library = twin.Config();
   config.library.measure_start = config.profile.warmup_s;
-  config.library.measure_end =
-      config.profile.warmup_s + config.profile.window_s;
-  if (flags.Has("write-rate")) {
-    config.library.write_platters_per_hour = flags.GetDouble("write-rate", 0.0);
-    if (!(config.library.write_platters_per_hour > 0.0)) {
-      std::fprintf(stderr, "error: --write-rate must be > 0 platters/hour\n");
-      return 1;
-    }
-  }
+  config.library.measure_end = config.profile.warmup_s + config.profile.window_s;
 
-  const std::string metrics_out = flags.Get("metrics-out", "");
   std::unique_ptr<Telemetry> telemetry;
   if (!metrics_out.empty()) {
     telemetry = std::make_unique<Telemetry>();
     config.telemetry = telemetry.get();
   }
+  const FederationResult result = SimulateFederation(config);
 
-  FederationResult result;
-  try {
-    result = SimulateFederation(config);
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "error: %s\n", e.what());
+  if (telemetry != nullptr && !WriteMetrics(metrics_out, telemetry->metrics)) {
+    std::fprintf(stderr, "error: could not write %s\n", metrics_out.c_str());
     return 1;
-  }
-
-  if (telemetry != nullptr) {
-    std::ofstream out(metrics_out);
-    out << (EndsWith(metrics_out, ".json") ? telemetry->metrics.ToJson()
-                                           : telemetry->metrics.ToPrometheusText());
-    if (!out) {
-      std::fprintf(stderr, "error: could not write %s\n", metrics_out.c_str());
-      return 1;
-    }
   }
 
   uint64_t requests_total = 0, requests_completed = 0, requests_failed = 0;
@@ -284,7 +191,7 @@ int RunFederation(const silica::Flags& flags) {
     requests_completed += lib.requests_completed;
     requests_failed += lib.requests_failed;
   }
-  if (flags.Has("json")) {
+  if (json) {
     std::printf(
         "{\"federation\": {\"libraries\": %d, \"threads\": %d, "
         "\"replication\": %d, \"tenants\": %d, \"demand_skew\": %g, "
@@ -299,81 +206,59 @@ int RunFederation(const silica::Flags& flags) {
         "\"replication_writes\": %llu}\n",
         config.num_libraries, config.threads, config.replication,
         config.tenants, config.demand_skew_sigma, config.geo_read_fraction,
-        result.lookahead_s, static_cast<unsigned long long>(seed),
-        static_cast<unsigned long long>(result.epochs),
-        static_cast<unsigned long long>(result.events_executed),
+        result.lookahead_s, ull(config.seed),
+        ull(result.epochs), ull(result.events_executed),
         result.makespan, result.wall_seconds,
-        static_cast<unsigned long long>(requests_total),
-        static_cast<unsigned long long>(requests_completed),
-        static_cast<unsigned long long>(requests_failed),
-        static_cast<unsigned long long>(result.messages_sent),
-        static_cast<unsigned long long>(result.messages_delivered),
-        static_cast<unsigned long long>(result.messages_dropped),
-        static_cast<unsigned long long>(result.messages_in_flight),
-        static_cast<unsigned long long>(result.bytes_sent),
-        static_cast<unsigned long long>(result.geo_reads),
-        static_cast<unsigned long long>(result.geo_routed),
-        static_cast<unsigned long long>(result.geo_unroutable),
-        static_cast<unsigned long long>(result.geo_completed),
-        static_cast<unsigned long long>(result.geo_failed),
-        result.geo_completion_times.Percentile(0.5),
+        ull(requests_total), ull(requests_completed), ull(requests_failed),
+        ull(result.messages_sent), ull(result.messages_delivered),
+        ull(result.messages_dropped), ull(result.messages_in_flight),
+        ull(result.bytes_sent), ull(result.geo_reads), ull(result.geo_routed),
+        ull(result.geo_unroutable), ull(result.geo_completed),
+        ull(result.geo_failed), result.geo_completion_times.Percentile(0.5),
         result.geo_completion_times.Percentile(0.999),
-        static_cast<unsigned long long>(result.repair_transfers),
-        static_cast<unsigned long long>(result.repair_bytes),
-        static_cast<unsigned long long>(result.replication_writes));
+        ull(result.repair_transfers), ull(result.repair_bytes),
+        ull(result.replication_writes));
     return 0;
   }
   std::printf("federation: %d libraries, %d threads, lookahead %g s\n",
               config.num_libraries, config.threads, result.lookahead_s);
   std::printf("epochs %llu  events %llu  makespan %s  wall %.3f s\n",
-              static_cast<unsigned long long>(result.epochs),
-              static_cast<unsigned long long>(result.events_executed),
+              ull(result.epochs), ull(result.events_executed),
               FormatDuration(result.makespan).c_str(), result.wall_seconds);
   std::printf("requests: %llu total, %llu completed, %llu failed\n",
-              static_cast<unsigned long long>(requests_total),
-              static_cast<unsigned long long>(requests_completed),
-              static_cast<unsigned long long>(requests_failed));
+              ull(requests_total), ull(requests_completed),
+              ull(requests_failed));
   std::printf("messages: %llu sent = %llu delivered + %llu dropped + %llu "
               "in flight (%s)\n",
-              static_cast<unsigned long long>(result.messages_sent),
-              static_cast<unsigned long long>(result.messages_delivered),
-              static_cast<unsigned long long>(result.messages_dropped),
-              static_cast<unsigned long long>(result.messages_in_flight),
+              ull(result.messages_sent), ull(result.messages_delivered),
+              ull(result.messages_dropped), ull(result.messages_in_flight),
               FormatBytes(static_cast<double>(result.bytes_sent)).c_str());
   std::printf("geo reads: %llu issued, %llu routed, %llu unroutable, %llu "
               "completed, %llu failed; p50 %s, p99.9 %s\n",
-              static_cast<unsigned long long>(result.geo_reads),
-              static_cast<unsigned long long>(result.geo_routed),
-              static_cast<unsigned long long>(result.geo_unroutable),
-              static_cast<unsigned long long>(result.geo_completed),
-              static_cast<unsigned long long>(result.geo_failed),
+              ull(result.geo_reads), ull(result.geo_routed),
+              ull(result.geo_unroutable), ull(result.geo_completed),
+              ull(result.geo_failed),
               FormatDuration(result.geo_completion_times.Percentile(0.5)).c_str(),
               FormatDuration(result.geo_completion_times.Percentile(0.999))
                   .c_str());
   std::printf("repair: %llu cross-library transfers (%s); replication writes "
               "%llu\n",
-              static_cast<unsigned long long>(result.repair_transfers),
+              ull(result.repair_transfers),
               FormatBytes(static_cast<double>(result.repair_bytes)).c_str(),
-              static_cast<unsigned long long>(result.replication_writes));
+              ull(result.replication_writes));
   for (size_t i = 0; i < result.libraries.size(); ++i) {
     const LibrarySimResult& lib = result.libraries[i];
     std::printf("  library %zu: %llu requests (%llu injected), %llu events, "
                 "p99.9 %s\n",
-                i, static_cast<unsigned long long>(lib.requests_total),
-                static_cast<unsigned long long>(lib.federation.injected_arrivals),
-                static_cast<unsigned long long>(lib.events_executed),
+                i, ull(lib.requests_total),
+                ull(lib.federation.injected_arrivals), ull(lib.events_executed),
                 FormatDuration(lib.completion_times.Percentile(0.999)).c_str());
   }
   return 0;
 }
 
-bool EndsWith(const std::string& s, const std::string& suffix) {
-  return s.size() >= suffix.size() &&
-         s.compare(s.size() - suffix.size(), suffix.size(), suffix) == 0;
-}
-
-void PrintJsonReport(const silica::LibrarySimResult& r,
-                     const silica::LibrarySimConfig& config,
+void PrintJsonReport(const LibrarySimResult& r,
+                     const LibrarySimConfig& config,
                      const std::string& profile, const std::string& policy,
                      uint64_t window_bytes, double slo_s, int threads) {
   const auto& ct = r.completion_times;
@@ -384,19 +269,16 @@ void PrintJsonReport(const silica::LibrarySimResult& r,
       "\"work_stealing\": %s, \"grouping\": %s, \"fast_switching\": %s, "
       "\"threads\": %d},\n",
       profile.c_str(), policy.c_str(), config.library.num_shuttles,
-      config.library.drive_throughput_mbps,
-      static_cast<unsigned long long>(config.num_info_platters),
-      static_cast<unsigned long long>(config.seed), config.unavailable_fraction,
+      config.library.drive_throughput_mbps, ull(config.num_info_platters),
+      ull(config.seed), config.unavailable_fraction,
       config.library.work_stealing ? "true" : "false",
       config.library.group_platter_requests ? "true" : "false",
       config.library.fast_switching ? "true" : "false", threads);
   std::printf(
       "  \"requests\": {\"total\": %llu, \"completed\": %llu, "
       "\"recovery_reads\": %llu, \"window_bytes\": %llu},\n",
-      static_cast<unsigned long long>(r.requests_total),
-      static_cast<unsigned long long>(r.requests_completed),
-      static_cast<unsigned long long>(r.recovery_reads),
-      static_cast<unsigned long long>(window_bytes));
+      ull(r.requests_total), ull(r.requests_completed), ull(r.recovery_reads),
+      ull(window_bytes));
   std::printf(
       "  \"completion_seconds\": {\"p50\": %.6g, \"p90\": %.6g, \"p99\": %.6g, "
       "\"p999\": %.6g, \"max\": %.6g, \"mean\": %.6g},\n",
@@ -414,20 +296,17 @@ void PrintJsonReport(const silica::LibrarySimResult& r,
       "\"travel_p999_s\": %.6g, \"congestion_overhead_fraction\": %.6g, "
       "\"congestion_stops\": %llu, \"energy_per_platter_op\": %.6g, "
       "\"work_steals\": %llu, \"recharges\": %llu},\n",
-      static_cast<unsigned long long>(r.travels), r.travel_times.mean(),
+      ull(r.travels), r.travel_times.mean(),
       r.travel_times.Percentile(0.999), r.CongestionOverheadFraction(),
-      static_cast<unsigned long long>(r.congestion_stops),
-      r.EnergyPerPlatterOperation(),
-      static_cast<unsigned long long>(r.work_steals),
-      static_cast<unsigned long long>(r.shuttle_recharges));
+      ull(r.congestion_stops), r.EnergyPerPlatterOperation(),
+      ull(r.work_steals), ull(r.shuttle_recharges));
   if (config.faults.aging.enabled() || config.scrub.enabled) {
     const auto& s = r.scrub;
     std::printf(
         "  \"aging\": {\"enabled\": %s, \"events\": %llu, \"latent_sectors\": "
         "%llu},\n",
         config.faults.aging.enabled() ? "true" : "false",
-        static_cast<unsigned long long>(s.aging_events),
-        static_cast<unsigned long long>(s.latent_sectors));
+        ull(s.aging_events), ull(s.latent_sectors));
     std::printf(
         "  \"scrub\": {\"enabled\": %s, \"interval_s\": %.6g, \"sample\": %.6g, "
         "\"passes\": %llu, \"detections\": %llu, "
@@ -435,27 +314,20 @@ void PrintJsonReport(const silica::LibrarySimResult& r,
         "\"repair_read_seconds\": %.6g},\n",
         config.scrub.enabled ? "true" : "false", config.scrub.platter_interval_s,
         config.scrub.track_sample_fraction,
-        static_cast<unsigned long long>(s.scrubs_completed),
-        static_cast<unsigned long long>(s.scrub_detections),
-        static_cast<unsigned long long>(s.read_detections), s.scrub_read_seconds,
-        s.repair_read_seconds);
+        ull(s.scrubs_completed), ull(s.scrub_detections),
+        ull(s.read_detections), s.scrub_read_seconds, s.repair_read_seconds);
     std::printf(
         "  \"repair\": {\"detected\": %llu, \"ldpc_retry\": %llu, "
         "\"track_nc\": %llu, \"large_group\": %llu, \"platter_set\": %llu, "
         "\"unrecoverable\": %llu, \"bytes_lost\": %llu, \"rebuilds_started\": "
         "%llu, \"rebuilds_completed\": %llu, \"rebuild_retries\": %llu, "
         "\"rebuild_reads\": %llu, \"conserves\": %s},\n",
-        static_cast<unsigned long long>(s.ledger.detected),
-        static_cast<unsigned long long>(s.ledger.repaired[static_cast<int>(silica::RepairTier::kLdpcRetry)]),
-        static_cast<unsigned long long>(s.ledger.repaired[static_cast<int>(silica::RepairTier::kTrackNc)]),
-        static_cast<unsigned long long>(s.ledger.repaired[static_cast<int>(silica::RepairTier::kLargeGroup)]),
-        static_cast<unsigned long long>(s.ledger.repaired[static_cast<int>(silica::RepairTier::kPlatterSet)]),
-        static_cast<unsigned long long>(s.ledger.unrecoverable),
-        static_cast<unsigned long long>(s.ledger.bytes_lost),
-        static_cast<unsigned long long>(s.rebuilds_started),
-        static_cast<unsigned long long>(s.rebuilds_completed),
-        static_cast<unsigned long long>(s.rebuild_retries),
-        static_cast<unsigned long long>(s.rebuild_reads),
+        ull(s.ledger.detected), ull(s.ledger.repaired[0]),
+        ull(s.ledger.repaired[1]), ull(s.ledger.repaired[2]),
+        ull(s.ledger.repaired[3]),
+        ull(s.ledger.unrecoverable), ull(s.ledger.bytes_lost),
+        ull(s.rebuilds_started), ull(s.rebuilds_completed),
+        ull(s.rebuild_retries), ull(s.rebuild_reads),
         s.ledger.Conserves() ? "true" : "false");
     if (config.lazy_repair.enabled) {
       std::printf(
@@ -463,11 +335,8 @@ void PrintJsonReport(const silica::LibrarySimResult& r,
           "\"drained\": %llu, \"drained_bytes\": %llu, \"settled\": %llu, "
           "\"peak_queue\": %llu},\n",
           config.lazy_repair.bandwidth_bytes_per_s,
-          static_cast<unsigned long long>(s.lazy_admitted),
-          static_cast<unsigned long long>(s.lazy_drained),
-          static_cast<unsigned long long>(s.lazy_drained_bytes),
-          static_cast<unsigned long long>(s.lazy_settled),
-          static_cast<unsigned long long>(s.lazy_peak_queue));
+          ull(s.lazy_admitted), ull(s.lazy_drained), ull(s.lazy_drained_bytes),
+          ull(s.lazy_settled), ull(s.lazy_peak_queue));
     }
   }
   if (config.faults.enabled()) {
@@ -478,43 +347,32 @@ void PrintJsonReport(const silica::LibrarySimResult& r,
         "\"stranded_recoveries\": %llu, \"dark_retries\": %llu, "
         "\"converted_requests\": %llu, \"amplified_requests\": %llu, "
         "\"requests_failed\": %llu},\n",
-        static_cast<unsigned long long>(r.faults.shuttle_failures),
-        static_cast<unsigned long long>(r.faults.shuttle_repairs),
-        static_cast<unsigned long long>(r.faults.drive_failures),
-        static_cast<unsigned long long>(r.faults.drive_repairs),
-        static_cast<unsigned long long>(r.faults.rack_failures),
-        static_cast<unsigned long long>(r.faults.rack_repairs),
-        static_cast<unsigned long long>(r.faults.aborted_shuttle_jobs),
-        static_cast<unsigned long long>(r.faults.stranded_recoveries),
-        static_cast<unsigned long long>(r.faults.dark_retries),
-        static_cast<unsigned long long>(r.faults.converted_requests),
-        static_cast<unsigned long long>(r.amplified_requests),
-        static_cast<unsigned long long>(r.requests_failed));
+        ull(r.faults.shuttle_failures), ull(r.faults.shuttle_repairs),
+        ull(r.faults.drive_failures), ull(r.faults.drive_repairs),
+        ull(r.faults.rack_failures), ull(r.faults.rack_repairs),
+        ull(r.faults.aborted_shuttle_jobs), ull(r.faults.stranded_recoveries),
+        ull(r.faults.dark_retries), ull(r.faults.converted_requests),
+        ull(r.amplified_requests), ull(r.requests_failed));
   }
   std::printf(
       "  \"control_plane\": {\"events_executed\": %llu, "
       "\"congestion_detours\": %llu, \"repartitions\": %llu, "
       "\"work_steals\": %llu},\n",
-      static_cast<unsigned long long>(r.events_executed),
-      static_cast<unsigned long long>(r.congestion_detours),
-      static_cast<unsigned long long>(r.repartitions),
-      static_cast<unsigned long long>(r.work_steals));
+      ull(r.events_executed), ull(r.congestion_detours), ull(r.repartitions),
+      ull(r.work_steals));
   std::printf("  \"makespan_seconds\": %.6g,\n", r.makespan);
   std::printf("  \"meets_slo\": %s\n",
               ct.Percentile(0.999) <= slo_s ? "true" : "false");
   std::printf("}\n");
 }
 
-void PrintTextReport(const silica::LibrarySimResult& r,
-                     const silica::LibrarySimConfig& config,
+void PrintTextReport(const LibrarySimResult& r,
+                     const LibrarySimConfig& config,
                      const std::string& profile, const std::string& policy,
                      uint64_t window_bytes, double slo) {
-  using silica::FormatBytes;
-  using silica::FormatDuration;
   std::printf("trace %s: %llu requests (%s in window) | policy %s, %d shuttles, "
               "%.0f MB/s\n",
-              profile.c_str(),
-              static_cast<unsigned long long>(r.requests_total),
+              profile.c_str(), ull(r.requests_total),
               FormatBytes(window_bytes).c_str(), policy.c_str(),
               config.library.num_shuttles, config.library.drive_throughput_mbps);
   std::printf("completion: p50 %s | p99 %s | p99.9 %s | max %s\n",
@@ -527,263 +385,189 @@ void PrintTextReport(const silica::LibrarySimResult& r,
               100.0 * r.DriveVerifyFraction());
   std::printf("shuttles: %llu travels (mean %.1fs, p99.9 %.1fs), congestion "
               "%.1f%%, energy/op %.2f, %llu steals, %llu recharges\n",
-              static_cast<unsigned long long>(r.travels), r.travel_times.mean(),
+              ull(r.travels), r.travel_times.mean(),
               r.travel_times.Percentile(0.999),
               100.0 * r.CongestionOverheadFraction(),
               r.EnergyPerPlatterOperation(),
-              static_cast<unsigned long long>(r.work_steals),
-              static_cast<unsigned long long>(r.shuttle_recharges));
+              ull(r.work_steals), ull(r.shuttle_recharges));
   if (r.recovery_reads > 0) {
     std::printf("recovery: %llu cross-platter sub-reads\n",
-                static_cast<unsigned long long>(r.recovery_reads));
+                ull(r.recovery_reads));
   }
   if (config.faults.enabled()) {
     std::printf("faults: shuttles %llu/%llu, drives %llu/%llu, racks %llu/%llu "
                 "(failed/repaired)\n",
-                static_cast<unsigned long long>(r.faults.shuttle_failures),
-                static_cast<unsigned long long>(r.faults.shuttle_repairs),
-                static_cast<unsigned long long>(r.faults.drive_failures),
-                static_cast<unsigned long long>(r.faults.drive_repairs),
-                static_cast<unsigned long long>(r.faults.rack_failures),
-                static_cast<unsigned long long>(r.faults.rack_repairs));
+                ull(r.faults.shuttle_failures), ull(r.faults.shuttle_repairs),
+                ull(r.faults.drive_failures), ull(r.faults.drive_repairs),
+                ull(r.faults.rack_failures), ull(r.faults.rack_repairs));
     std::printf("degraded: %llu aborted jobs, %llu stranded recoveries, %llu "
                 "dark retries, %llu converted, %llu amplified, %llu failed\n",
-                static_cast<unsigned long long>(r.faults.aborted_shuttle_jobs),
-                static_cast<unsigned long long>(r.faults.stranded_recoveries),
-                static_cast<unsigned long long>(r.faults.dark_retries),
-                static_cast<unsigned long long>(r.faults.converted_requests),
-                static_cast<unsigned long long>(r.amplified_requests),
-                static_cast<unsigned long long>(r.requests_failed));
+                ull(r.faults.aborted_shuttle_jobs),
+                ull(r.faults.stranded_recoveries), ull(r.faults.dark_retries),
+                ull(r.faults.converted_requests), ull(r.amplified_requests),
+                ull(r.requests_failed));
   }
   if (config.faults.aging.enabled() || config.scrub.enabled) {
     const auto& s = r.scrub;
     std::printf("aging: %llu events struck %llu sectors | scrub: %llu passes "
                 "(%llu detections), %llu read detections\n",
-                static_cast<unsigned long long>(s.aging_events),
-                static_cast<unsigned long long>(s.latent_sectors),
-                static_cast<unsigned long long>(s.scrubs_completed),
-                static_cast<unsigned long long>(s.scrub_detections),
-                static_cast<unsigned long long>(s.read_detections));
+                ull(s.aging_events), ull(s.latent_sectors),
+                ull(s.scrubs_completed), ull(s.scrub_detections),
+                ull(s.read_detections));
     std::printf("repair: %llu detected -> ldpc %llu, track-nc %llu, "
                 "large-group %llu, platter-set %llu, unrecoverable %llu "
                 "(%llu bytes lost)%s\n",
-                static_cast<unsigned long long>(s.ledger.detected),
-                static_cast<unsigned long long>(s.ledger.repaired[static_cast<int>(silica::RepairTier::kLdpcRetry)]),
-                static_cast<unsigned long long>(s.ledger.repaired[static_cast<int>(silica::RepairTier::kTrackNc)]),
-                static_cast<unsigned long long>(s.ledger.repaired[static_cast<int>(silica::RepairTier::kLargeGroup)]),
-                static_cast<unsigned long long>(s.ledger.repaired[static_cast<int>(silica::RepairTier::kPlatterSet)]),
-                static_cast<unsigned long long>(s.ledger.unrecoverable),
-                static_cast<unsigned long long>(s.ledger.bytes_lost),
+                ull(s.ledger.detected), ull(s.ledger.repaired[0]),
+                ull(s.ledger.repaired[1]), ull(s.ledger.repaired[2]),
+                ull(s.ledger.repaired[3]),
+                ull(s.ledger.unrecoverable), ull(s.ledger.bytes_lost),
                 s.ledger.Conserves() ? "" : " [LEDGER LEAK]");
     if (s.rebuilds_started > 0) {
       std::printf("rebuilds: %llu started, %llu completed, %llu retries, %llu "
                   "set-peer reads\n",
-                  static_cast<unsigned long long>(s.rebuilds_started),
-                  static_cast<unsigned long long>(s.rebuilds_completed),
-                  static_cast<unsigned long long>(s.rebuild_retries),
-                  static_cast<unsigned long long>(s.rebuild_reads));
+                  ull(s.rebuilds_started), ull(s.rebuilds_completed),
+                  ull(s.rebuild_retries), ull(s.rebuild_reads));
     }
     if (config.lazy_repair.enabled) {
       std::printf("lazy: %llu admitted -> %llu drained (%llu bytes under "
                   "budget), %llu settled at end, peak queue %llu\n",
-                  static_cast<unsigned long long>(s.lazy_admitted),
-                  static_cast<unsigned long long>(s.lazy_drained),
-                  static_cast<unsigned long long>(s.lazy_drained_bytes),
-                  static_cast<unsigned long long>(s.lazy_settled),
-                  static_cast<unsigned long long>(s.lazy_peak_queue));
+                  ull(s.lazy_admitted), ull(s.lazy_drained),
+                  ull(s.lazy_drained_bytes), ull(s.lazy_settled),
+                  ull(s.lazy_peak_queue));
     }
   }
   std::printf("verdict: %s the 15 h SLO\n",
               r.completion_times.Percentile(0.999) <= slo ? "meets" : "MISSES");
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  using namespace silica;
-  const Flags flags(argc, argv);
-  if (flags.Has("mttdl")) {
-    return RunMttdl(flags);
-  }
-  if (flags.Has("federation")) {
-    return RunFederation(flags);
-  }
-  if (flags.Has("help")) {
-    std::printf(
-        "usage: silica_sim --profile=iops|volume|typical --policy=silica|sp|ns\n"
-        "  [--trace=file.csv  (replay a CSV trace instead of generating one)]\n"
-        "  [--shuttles=20] [--mbps=60] [--platters=3000] [--seed=1]\n"
-        "  [--unavailable=0.0] [--zipf=0.0] [--no-stealing] [--no-grouping]\n"
-        "  [--no-fast-switch]\n"
-        "  [--fault-shuttle-mtbf=S    exponential shuttle breakdowns, mean S s]\n"
-        "  [--fault-shuttle-mttr=S    shuttle repair time (0 = permanent)]\n"
-        "  [--fault-drive-mtbf=S --fault-drive-mttr=S    read-drive outages]\n"
-        "  [--fault-rack-mtbf=S  --fault-rack-mttr=S     rack (blast-zone) outages]\n"
-        "  [--fault-until=S           inject no new failures after time S]\n"
-        "  [--fleet-loss=F            fail F of the shuttle fleet (highest ids)\n"
-        "                              at t=0; F in [0,1)]\n"
-        "  [--blackout-partition=P    take every read drive of partition P down\n"
-        "                              at --blackout-start for\n"
-        "                              --blackout-duration seconds]\n"
-        "  [--blackout-start=S --blackout-duration=S]\n"
-        "  [--write-rate=R            explicit write pipeline: eject R platters\n"
-        "                              per hour until --write-until (default\n"
-        "                              43200 s)]\n"
-        "  [--write-until=S]\n"
-        "  [--write-surge-factor=K    multiply the write rate by K inside\n"
-        "                              [--write-surge-start, +--write-surge-\n"
-        "                              duration); requires --write-rate]\n"
-        "  [--write-surge-start=S --write-surge-duration=S]\n"
-        "  [--congestion-routing      congestion-aware rail routing: shuttles\n"
-        "                              detour to a cheaper lane within\n"
-        "                              --detour-shelves of the target]\n"
-        "  [--detour-shelves=N        detour radius (default 2; requires\n"
-        "                              --congestion-routing)]\n"
-        "  [--repartition-interval=S  dynamic repartitioning: every S seconds a\n"
-        "                              hot partition sheds a slice of its\n"
-        "                              rectangle to a cold neighbour]\n"
-        "  [--aging-mtbe=S            media aging: mean seconds between latent\n"
-        "                              damage events per stored platter]\n"
-        "  [--aging-max-sectors=N     sectors struck per damage event, 1..N\n"
-        "                              (default 4; requires --aging-mtbe)]\n"
-        "  [--scrub                   background scrub on idle verify slots +\n"
-        "                              multi-layer repair escalation]\n"
-        "  [--scrub-interval=S        seconds between scrub passes per platter\n"
-        "                              (default 21600; requires --scrub)]\n"
-        "  [--scrub-sample=F          fraction of tracks streamed per pass,\n"
-        "                              in (0,1] (default 0.05; requires --scrub)]\n"
-        "  [--lazy-repair             queue scrub-detected damage (tiers 0-2) by\n"
-        "                              remaining-redundancy urgency and drain it\n"
-        "                              under a repair-bandwidth budget instead of\n"
-        "                              repairing inline (requires --scrub)]\n"
-        "  [--repair-bandwidth=B      lazy-repair byte budget per second\n"
-        "                              (default 64 MiB/s; requires --lazy-repair)]\n"
-        "  [--repair-drain-interval=S lazy drain pump period (default 60 s;\n"
-        "                              requires --lazy-repair)]\n"
-        "  [--set-info=K --set-redundancy=R   platter-set code geometry (default\n"
-        "                              16+3; wide codes trade repair traffic for\n"
-        "                              durability)]\n"
-        "  [--checkpoint-at=S         snapshot the twin at sim-time S, restore it\n"
-        "                              into a fresh twin, and verify the resumed\n"
-        "                              run's results are byte-identical (exit 1\n"
-        "                              on divergence)]\n"
-        "  [--federation=N            simulate N libraries concurrently under\n"
-        "                              conservative epoch sync; composes with\n"
-        "                              --profile/--policy/--shuttles/--platters\n"
-        "                              (per-library twin template) and --json]\n"
-        "  [--federation-threads=K    libraries simulated in parallel per epoch;\n"
-        "                              results are byte-identical for every K]\n"
-        "  [--replication=R --tenants=T   replica-set width and tenant count]\n"
-        "  [--demand-skew=S           log-normal sigma of per-site demand\n"
-        "                              multipliers (Fig 1(c) spread)]\n"
-        "  [--geo-reads=F             fraction of reads routed through the\n"
-        "                              federation to the least-loaded replica]\n"
-        "  [--base-latency=S --hop-latency=S   inter-site latency model; the\n"
-        "                              minimum pair latency is the lookahead]\n"
-        "  [--fed-blackout-library=I  whole-library blackout: no messages in or\n"
-        "                              out, excluded from routing, during\n"
-        "                              [--fed-blackout-start, +duration)]\n"
-        "  [--fed-blackout-start=S --fed-blackout-duration=S]\n"
-        "  [--evacuate-library=I --evacuate-at=S   re-home geo reads of the\n"
-        "                              library's tenants from time S on]\n"
-        "  [--replicate-rate=R        cross-site replication writes per library\n"
-        "                              per hour, rebalanced to the least-\n"
-        "                              ingested site, until --replicate-until]\n"
-        "  [--replicate-until=S]\n"
-        "  [--mttdl=split|mc          rare-event MTTDL estimator on the set-level\n"
-        "                              durability model (no twin; prints JSON):\n"
-        "                              importance splitting, or brute-force MC]\n"
-        "  [--sets=N --set-n=19 --set-k=16    MTTDL code geometry]\n"
-        "  [--fail-rate=F --horizon-years=Y   per-platter-year AFR and horizon]\n"
-        "  [--repair-bandwidth=B --lazy       MTTDL repair service model]\n"
-        "  [--roots=R --split-k=K             estimator effort and split factor]\n"
-        "  [--replications=N          run N independent replications: #0 keeps\n"
-        "                              --seed, later ones fork it by index;\n"
-        "                              reports print in replication order]\n"
-        "  [--sweep-threads=K         run replications on K threads; output is\n"
-        "                              byte-identical for every K (default 1)]\n"
-        "  [--threads=N               worker threads for data-plane coding work;\n"
-        "                              the sim-time event loop itself stays\n"
-        "                              single-threaded, so results are identical\n"
-        "                              for every N (default 1)]\n"
-        "  [--simd=auto|scalar|avx2|neon   data-plane kernel dispatch tier;\n"
-        "                              every tier is bit-identical, so this only\n"
-        "                              affects throughput (default auto)]\n"
-        "  [--json                     machine-readable run report on stdout]\n"
-        "  [--metrics-out=FILE         metrics snapshot (.json -> JSON, else\n"
-        "                              Prometheus text)]\n"
-        "  [--trace-out=FILE           Chrome/Perfetto trace_event JSON]\n"
-        "  [--trace-categories=LIST    comma list of sim,shuttle,drive,\n"
-        "                              scheduler,decode,pipeline,faults,scrub\n"
-        "                              (default all)]\n");
+// The library twin (the default mode), optionally replicated over forked seeds
+// or round-tripped through a checkpoint.
+int RunTwin(const CommandLine& line) {
+  bool no_stealing = false, no_grouping = false, no_fast_switch = false;
+  double shuttle_mtbf = 0.0, shuttle_mttr = 0.0, drive_mtbf = 0.0,
+         drive_mttr = 0.0, rack_mtbf = 0.0, rack_mttr = 0.0, aging_mtbe = 0.0;
+  double checkpoint_at = 0.0;
+  int replications = 1, sweep_threads = 1, threads = 1;
+  bool json = false;
+  std::string trace_csv, simd = "auto", metrics_out, trace_out, categories;
+  FlagSet flags("silica_sim",
+                "The library digital twin. Other modes: --federation=N (N libraries) and "
+                "--mttdl=split|mc\n(set-level MTTDL); give --help with either for its flags.");
+  TwinTemplate twin(flags);
+  LibrarySimConfig& config = twin.config;
+  flags.String("trace", &trace_csv, "replay this CSV trace instead of generating one")
+      .Double("unavailable", &config.unavailable_fraction,
+              "fraction of platters unavailable; their reads become recovery reads")
+      .Bool("no-stealing", &no_stealing, "disable work stealing")
+      .Bool("no-grouping", &no_grouping, "disable per-platter request grouping")
+      .Bool("no-fast-switch", &no_fast_switch, "disable dual-slot fast switching")
+      .Double("fault-shuttle-mtbf", &shuttle_mtbf, "exponential shuttle breakdowns, mean s")
+      .Double("fault-shuttle-mttr", &shuttle_mttr, "shuttle repair, s (0 = permanent)")
+      .Requires("fault-shuttle-mtbf")
+      .Double("fault-drive-mtbf", &drive_mtbf, "read-drive outages, mean s")
+      .Double("fault-drive-mttr", &drive_mttr, "read-drive repair, s")
+      .Requires("fault-drive-mtbf")
+      .Double("fault-rack-mtbf", &rack_mtbf, "rack (blast-zone) outages, mean s")
+      .Double("fault-rack-mttr", &rack_mttr, "rack repair, s")
+      .Requires("fault-rack-mtbf")
+      .Double("fault-until", &config.faults.inject_until_s, "no new failures after this time, s")
+      .Double("fleet-loss", &config.fleet_loss_fraction,
+              "fraction of the shuttle fleet (highest ids) failed at t=0")
+      .Int("blackout-partition", &config.blackout_partition,
+           "partition whose read drives all go down for a window (-1 = none)")
+      .Double("blackout-start", &config.blackout_start_s, "blackout start, s")
+      .Requires("blackout-partition")
+      .Double("blackout-duration", &config.blackout_duration_s, "blackout length, s")
+      .Requires("blackout-partition")
+      .Double("write-until", &config.write_until, "last platter ejected, s")
+      .Requires("write-rate")
+      .Double("write-surge-factor", &config.write_surge_factor, "write-rate multiple in the surge")
+      .Requires("write-rate")
+      .Double("write-surge-start", &config.write_surge_start_s, "surge start, s")
+      .Requires("write-surge-factor")
+      .Double("write-surge-duration", &config.write_surge_duration_s, "surge length, s")
+      .Requires("write-surge-factor")
+      .Bool("congestion-routing", &config.library.congestion_aware_routing,
+            "congestion-aware rail routing: detour to a cheaper lane")
+      .Int("detour-shelves", &config.library.congestion_detour_shelves, "detour radius, shelves")
+      .Requires("congestion-routing")
+      .Double("repartition-interval", &config.library.repartition_interval_s,
+              "s between hot partitions shedding a slice to a cold neighbour (0 = off)")
+      .Double("aging-mtbe", &aging_mtbe,
+              "media aging: mean s between damage events per platter (0 = off)")
+      .Int("aging-max-sectors", &config.faults.aging.max_sectors_per_event,
+           "sectors struck per damage event, 1..N")
+      .Requires("aging-mtbe")
+      .Bool("scrub", &config.scrub.enabled, "background scrub on idle verify slots + repair")
+      .Double("scrub-interval", &config.scrub.platter_interval_s, "s between passes per platter")
+      .Requires("scrub")
+      .Double("scrub-sample", &config.scrub.track_sample_fraction, "fraction of tracks per pass")
+      .Requires("scrub")
+      .Bool("lazy-repair", &config.lazy_repair.enabled,
+            "drain scrub-detected damage by urgency under a bandwidth budget")
+      .Double("repair-bandwidth", &config.lazy_repair.bandwidth_bytes_per_s,
+              "lazy-repair bytes per second")
+      .Requires("lazy-repair")
+      .Double("repair-drain-interval", &config.lazy_repair.drain_interval_s,
+              "lazy drain period, s")
+      .Requires("lazy-repair")
+      .Int("set-info", &config.platter_set_info, "data platters per set")
+      .Int("set-redundancy", &config.platter_set_redundancy, "redundancy platters per set")
+      .Double("checkpoint-at", &checkpoint_at,
+              "snapshot at this time, resume in a fresh twin, exit 1 unless identical")
+      .Int("replications", &replications, "replications: #0 keeps --seed, later ones fork it")
+      .Int("sweep-threads", &sweep_threads, "threads running replications; same output for all")
+      .Int("threads", &threads, "data-plane threads, recorded in the report")
+      .Enum("simd", &simd, SimdModeNames(), "kernel tier; every tier is bit-identical")
+      .Bool("json", &json, "machine-readable run report on stdout")
+      .String("metrics-out", &metrics_out, "metrics file (.json -> JSON, else Prometheus text)")
+      .String("trace-out", &trace_out, "Chrome/Perfetto trace_event JSON file")
+      .String("trace-categories", &categories,
+              "comma list of sim,shuttle,drive,scheduler,decode,pipeline,faults,scrub")
+      .Requires("trace-out");
+  if (!flags.Parse(line)) {
     return 0;
   }
-
-  const std::string name = flags.Get("profile", "iops");
-  const auto seed = static_cast<uint64_t>(flags.GetInt("seed", 1));
-  // The library twin is a sim-time DES whose event loop must stay single-threaded
-  // (event order is the determinism contract). --threads is validated and recorded
-  // in the run report so scripted sweeps carry one knob across the sim and the
-  // data-plane benches; the timing-only twin performs no per-sector coding itself.
-  const int threads = static_cast<int>(flags.GetInt("threads", 1));
+  // These bounds have no config to own them: the twin never reads --threads
+  // (it only echoes it), and replications are this tool's own loop.
   if (threads < 1) {
-    std::fprintf(stderr, "error: --threads must be >= 1\n");
-    return 1;
+    throw FlagError("--threads must be >= 1");
+  }
+  if (replications < 1) {
+    throw FlagError("--replications must be >= 1");
+  }
+  const bool checkpoint = flags.Given("checkpoint-at");
+  if (replications > 1 && !trace_out.empty()) {
+    throw FlagError("--trace-out requires --replications=1 (a trace file "
+                    "describes a single run)");
+  }
+  if (checkpoint && (!metrics_out.empty() || !trace_out.empty())) {
+    throw FlagError("--checkpoint-at is incompatible with --metrics-out and "
+                    "--trace-out (the round-trip compares two bare runs)");
   }
   // Data-plane SIMD tier. Deliberately NOT echoed into the JSON report: every
   // tier is bit-identical, so scripted byte-identity checks can diff a
   // --simd=scalar run against --simd=auto directly.
-  const std::string simd = flags.Get("simd", "auto");
-  const std::optional<SimdMode> simd_mode = ParseSimdMode(simd);
-  if (!simd_mode.has_value()) {
-    std::fprintf(stderr,
-                 "error: --simd must be one of auto/scalar/avx2/neon; got %s\n",
-                 simd.c_str());
-    return 1;
-  }
-  if (!SetSimdMode(*simd_mode)) {
-    std::fprintf(stderr,
-                 "error: --simd=%s is not available on this CPU/build "
-                 "(available:%s)\n",
-                 simd.c_str(), [] {
-                   std::string list;
-                   for (const SimdMode m : AvailableSimdModes()) {
-                     list += " ";
-                     list += SimdModeName(m);
-                   }
-                   return list;
-                 }().c_str());
-    return 1;
-  }
-  // Multi-seed replication sweep: run N independent replications (replication 0
-  // keeps --seed, later ones fork it by index; see SweepSeed) and print the
-  // reports in replication order. --sweep-threads parallelizes the replications
-  // themselves; output is byte-identical for every thread count.
-  const int replications = static_cast<int>(flags.GetInt("replications", 1));
-  if (replications < 1) {
-    std::fprintf(stderr, "error: --replications must be >= 1\n");
-    return 1;
-  }
-  const int sweep_threads = static_cast<int>(flags.GetInt("sweep-threads", 1));
-  if (sweep_threads < 1) {
-    std::fprintf(stderr, "error: --sweep-threads must be >= 1\n");
-    return 1;
-  }
-  TraceProfile profile = name == "iops"     ? TraceProfile::Iops(seed)
-                         : name == "volume" ? TraceProfile::Volume(seed)
-                                            : TraceProfile::Typical(seed);
-  profile.zipf_skew = flags.GetDouble("zipf", 0.0);
-  const auto platters = static_cast<uint64_t>(flags.GetInt("platters", 3000));
+  SetSimdModeByName(simd);
+
+  config = twin.Config();
+  config.library.work_stealing = !no_stealing;
+  config.library.group_platter_requests = !no_grouping;
+  config.library.fast_switching = !no_fast_switch;
+  config.faults.shuttle = FaultProcess::Exponential(shuttle_mtbf, shuttle_mttr);
+  config.faults.drive = FaultProcess::Exponential(drive_mtbf, drive_mttr);
+  config.faults.rack = FaultProcess::Exponential(rack_mtbf, rack_mttr);
+  config.faults.aging.event_gap =
+      MediaAgingConfig::Exponential(aging_mtbe).event_gap;
+
   // CSV replay traces are read once and shared (read-only) by every replication;
   // generated traces are produced per replication from the replication's seed.
-  const bool csv_trace = flags.Has("trace");
   GeneratedTrace shared_trace;
-  if (csv_trace) {
-    std::ifstream in(flags.Get("trace", ""));
+  if (!trace_csv.empty()) {
+    std::ifstream in(trace_csv);
     const auto parsed = ReadTraceCsv(in);
     if (!parsed) {
-      std::fprintf(stderr, "error: could not parse trace CSV\n");
-      return 1;
+      throw FlagError("--trace=" + trace_csv + ": could not parse trace CSV");
     }
     shared_trace.requests = *parsed;
     shared_trace.measure_start = 0.0;
@@ -792,314 +576,18 @@ int main(int argc, char** argv) {
     for (const auto& r : shared_trace.requests) {
       shared_trace.window_bytes += r.bytes;
     }
-    profile.name = "csv";
-  }
-
-  LibrarySimConfig config;
-  const std::string policy = flags.Get("policy", "silica");
-  config.library.policy = policy == "sp" ? LibraryConfig::Policy::kShortestPaths
-                          : policy == "ns" ? LibraryConfig::Policy::kNoShuttles
-                                           : LibraryConfig::Policy::kPartitioned;
-  config.library.num_shuttles = static_cast<int>(flags.GetInt("shuttles", 20));
-  config.library.drive_throughput_mbps = flags.GetDouble("mbps", 60.0);
-  config.library.work_stealing = !flags.Has("no-stealing");
-  config.library.group_platter_requests = !flags.Has("no-grouping");
-  config.library.fast_switching = !flags.Has("no-fast-switch");
-  config.num_info_platters = platters;
-  config.unavailable_fraction = flags.GetDouble("unavailable", 0.0);
-  config.seed = seed;  // per-replication: measure window + seed set in the sweep
-
-  const double shuttle_mtbf = flags.GetDouble("fault-shuttle-mtbf", 0.0);
-  const double drive_mtbf = flags.GetDouble("fault-drive-mtbf", 0.0);
-  const double rack_mtbf = flags.GetDouble("fault-rack-mtbf", 0.0);
-  if (shuttle_mtbf > 0.0) {
-    config.faults.shuttle = FaultProcess::Exponential(
-        shuttle_mtbf, flags.GetDouble("fault-shuttle-mttr", 0.0));
-  }
-  if (drive_mtbf > 0.0) {
-    config.faults.drive = FaultProcess::Exponential(
-        drive_mtbf, flags.GetDouble("fault-drive-mttr", 0.0));
-  }
-  if (rack_mtbf > 0.0) {
-    config.faults.rack = FaultProcess::Exponential(
-        rack_mtbf, flags.GetDouble("fault-rack-mttr", 0.0));
-  }
-  if (flags.Has("fault-until")) {
-    config.faults.inject_until_s = flags.GetDouble("fault-until", 1e30);
-  }
-
-  // Scenario stress knobs (all off by default; any combination composes with
-  // the fault injector and the scrub pipeline).
-  if (flags.Has("fleet-loss")) {
-    const double loss = flags.GetDouble("fleet-loss", 0.0);
-    if (loss < 0.0 || loss >= 1.0) {
-      std::fprintf(stderr,
-                   "error: --fleet-loss must be in [0, 1) (fraction of the "
-                   "shuttle fleet failed at t=0); got %g\n",
-                   loss);
-      return 1;
-    }
-    config.fleet_loss_fraction = loss;
-  }
-  if (flags.Has("blackout-partition")) {
-    config.blackout_partition =
-        static_cast<int>(flags.GetInt("blackout-partition", -1));
-    config.blackout_start_s = flags.GetDouble("blackout-start", 0.0);
-    config.blackout_duration_s = flags.GetDouble("blackout-duration", 0.0);
-    if (config.blackout_partition < 0) {
-      std::fprintf(stderr, "error: --blackout-partition must be >= 0; got %d\n",
-                   config.blackout_partition);
-      return 1;
-    }
-    if (config.library.policy != LibraryConfig::Policy::kPartitioned) {
-      std::fprintf(stderr,
-                   "error: --blackout-partition requires --policy=silica "
-                   "(partitions only exist under the partitioned policy)\n");
-      return 1;
-    }
-    if (config.blackout_start_s < 0.0 || config.blackout_duration_s <= 0.0) {
-      std::fprintf(stderr,
-                   "error: --blackout-start must be >= 0 and "
-                   "--blackout-duration > 0; got start %g, duration %g\n",
-                   config.blackout_start_s, config.blackout_duration_s);
-      return 1;
-    }
-  } else {
-    for (const char* dependent : {"blackout-start", "blackout-duration"}) {
-      if (flags.Has(dependent)) {
-        std::fprintf(stderr, "error: --%s requires --blackout-partition\n",
-                     dependent);
-        return 1;
-      }
-    }
-  }
-  if (flags.Has("write-rate")) {
-    const double rate = flags.GetDouble("write-rate", 0.0);
-    if (rate <= 0.0) {
-      std::fprintf(stderr,
-                   "error: --write-rate must be > 0 platters/hour; got %g\n",
-                   rate);
-      return 1;
-    }
-    config.write_platters_per_hour = rate;
-    if (flags.Has("write-until")) {
-      config.write_until = flags.GetDouble("write-until", config.write_until);
-    }
-  } else if (flags.Has("write-until")) {
-    std::fprintf(stderr, "error: --write-until requires --write-rate\n");
-    return 1;
-  }
-  if (flags.Has("write-surge-factor")) {
-    if (config.write_platters_per_hour <= 0.0) {
-      std::fprintf(stderr,
-                   "error: --write-surge-factor requires --write-rate (the "
-                   "surge scales the explicit write pipeline)\n");
-      return 1;
-    }
-    const double factor = flags.GetDouble("write-surge-factor", 1.0);
-    config.write_surge_start_s = flags.GetDouble("write-surge-start", 0.0);
-    config.write_surge_duration_s = flags.GetDouble("write-surge-duration", 0.0);
-    if (factor < 1.0) {
-      std::fprintf(stderr, "error: --write-surge-factor must be >= 1; got %g\n",
-                   factor);
-      return 1;
-    }
-    if (config.write_surge_duration_s <= 0.0) {
-      std::fprintf(stderr,
-                   "error: --write-surge-duration must be > 0 seconds; got %g\n",
-                   config.write_surge_duration_s);
-      return 1;
-    }
-    config.write_surge_factor = factor;
-  } else {
-    for (const char* dependent : {"write-surge-start", "write-surge-duration"}) {
-      if (flags.Has(dependent)) {
-        std::fprintf(stderr, "error: --%s requires --write-surge-factor\n",
-                     dependent);
-        return 1;
-      }
-    }
-  }
-  if (flags.Has("congestion-routing")) {
-    config.library.congestion_aware_routing = true;
-    if (flags.Has("detour-shelves")) {
-      const int radius = static_cast<int>(flags.GetInt("detour-shelves", 0));
-      if (radius < 1) {
-        std::fprintf(stderr, "error: --detour-shelves must be >= 1; got %d\n",
-                     radius);
-        return 1;
-      }
-      config.library.congestion_detour_shelves = radius;
-    }
-  } else if (flags.Has("detour-shelves")) {
-    std::fprintf(stderr,
-                 "error: --detour-shelves requires --congestion-routing\n");
-    return 1;
-  }
-  if (flags.Has("repartition-interval")) {
-    const double interval = flags.GetDouble("repartition-interval", 0.0);
-    if (interval <= 0.0) {
-      std::fprintf(stderr,
-                   "error: --repartition-interval must be > 0 seconds; got %g\n",
-                   interval);
-      return 1;
-    }
-    if (config.library.policy != LibraryConfig::Policy::kPartitioned) {
-      std::fprintf(stderr,
-                   "error: --repartition-interval requires --policy=silica\n");
-      return 1;
-    }
-    config.library.repartition_interval_s = interval;
-  }
-
-  // Media aging + background scrub. Flag combinations are validated up front so
-  // a sweep script fails loudly instead of silently running the wrong model.
-  if (flags.Has("aging-mtbe")) {
-    const double mtbe = flags.GetDouble("aging-mtbe", 0.0);
-    if (mtbe <= 0.0) {
-      std::fprintf(stderr,
-                   "error: --aging-mtbe must be > 0 seconds (mean gap between "
-                   "damage events per platter); got %g\n",
-                   mtbe);
-      return 1;
-    }
-    config.faults.aging = MediaAgingConfig::Exponential(mtbe);
-    if (flags.Has("aging-max-sectors")) {
-      const int max_sectors =
-          static_cast<int>(flags.GetInt("aging-max-sectors", 0));
-      if (max_sectors < 1) {
-        std::fprintf(stderr, "error: --aging-max-sectors must be >= 1; got %d\n",
-                     max_sectors);
-        return 1;
-      }
-      config.faults.aging.max_sectors_per_event = max_sectors;
-    }
-  } else if (flags.Has("aging-max-sectors")) {
-    std::fprintf(stderr,
-                 "error: --aging-max-sectors requires --aging-mtbe (it scales "
-                 "damage events, and --aging-mtbe enables them)\n");
-    return 1;
-  }
-  if (flags.Has("scrub")) {
-    config.scrub.enabled = true;
-    if (flags.Has("scrub-interval")) {
-      const double interval = flags.GetDouble("scrub-interval", 0.0);
-      if (interval <= 0.0) {
-        std::fprintf(stderr,
-                     "error: --scrub-interval must be > 0 seconds; got %g\n",
-                     interval);
-        return 1;
-      }
-      config.scrub.platter_interval_s = interval;
-    }
-    if (flags.Has("scrub-sample")) {
-      const double sample = flags.GetDouble("scrub-sample", 0.0);
-      if (sample <= 0.0 || sample > 1.0) {
-        std::fprintf(stderr,
-                     "error: --scrub-sample must be in (0, 1] (fraction of "
-                     "tracks streamed per pass); got %g\n",
-                     sample);
-        return 1;
-      }
-      config.scrub.track_sample_fraction = sample;
-    }
-  } else {
-    for (const char* dependent : {"scrub-interval", "scrub-sample"}) {
-      if (flags.Has(dependent)) {
-        std::fprintf(stderr,
-                     "error: --%s requires --scrub (background scrubbing is "
-                     "off by default)\n",
-                     dependent);
-        return 1;
-      }
-    }
-  }
-  if (flags.Has("set-info") || flags.Has("set-redundancy")) {
-    const int set_info =
-        static_cast<int>(flags.GetInt("set-info", config.platter_set_info));
-    const int set_redundancy = static_cast<int>(
-        flags.GetInt("set-redundancy", config.platter_set_redundancy));
-    if (set_info < 1 || set_redundancy < 1) {
-      std::fprintf(stderr,
-                   "error: --set-info and --set-redundancy must be >= 1; got "
-                   "%d+%d\n",
-                   set_info, set_redundancy);
-      return 1;
-    }
-    config.platter_set_info = set_info;
-    config.platter_set_redundancy = set_redundancy;
-  }
-  if (flags.Has("lazy-repair")) {
-    if (!config.scrub.enabled) {
-      std::fprintf(stderr,
-                   "error: --lazy-repair requires --scrub (lazy repair drains "
-                   "scrub-detected damage)\n");
-      return 1;
-    }
-    config.lazy_repair.enabled = true;
-    if (flags.Has("repair-bandwidth")) {
-      const double bandwidth = flags.GetDouble("repair-bandwidth", 0.0);
-      if (!(bandwidth > 0.0)) {
-        std::fprintf(stderr,
-                     "error: --repair-bandwidth must be > 0 bytes/s; got %g\n",
-                     bandwidth);
-        return 1;
-      }
-      config.lazy_repair.bandwidth_bytes_per_s = bandwidth;
-    }
-    if (flags.Has("repair-drain-interval")) {
-      const double interval = flags.GetDouble("repair-drain-interval", 0.0);
-      if (!(interval > 0.0)) {
-        std::fprintf(stderr,
-                     "error: --repair-drain-interval must be > 0 seconds; got "
-                     "%g\n",
-                     interval);
-        return 1;
-      }
-      config.lazy_repair.drain_interval_s = interval;
-    }
-  } else {
-    for (const char* dependent : {"repair-bandwidth", "repair-drain-interval"}) {
-      if (flags.Has(dependent)) {
-        std::fprintf(stderr, "error: --%s requires --lazy-repair\n", dependent);
-        return 1;
-      }
-    }
-  }
-  const bool checkpoint = flags.Has("checkpoint-at");
-  const double checkpoint_at = flags.GetDouble("checkpoint-at", -1.0);
-  if (checkpoint && !(checkpoint_at >= 0.0)) {
-    std::fprintf(stderr, "error: --checkpoint-at must be >= 0 seconds; got %g\n",
-                 checkpoint_at);
-    return 1;
   }
 
   // Attach telemetry only when a sink was requested: with no sinks, the twin runs
   // the compiled-in fast path (null telemetry pointer, disabled tracer). With
   // replications, each runs against its own registry (no cross-thread contention)
   // and the registries are merged in replication order before the snapshot.
-  const std::string metrics_out = flags.Get("metrics-out", "");
-  const std::string trace_out = flags.Get("trace-out", "");
-  if (replications > 1 && !trace_out.empty()) {
-    std::fprintf(stderr,
-                 "error: --trace-out requires --replications=1 (a trace file "
-                 "describes a single run)\n");
-    return 1;
-  }
-  if (checkpoint && (!metrics_out.empty() || !trace_out.empty())) {
-    std::fprintf(stderr,
-                 "error: --checkpoint-at is incompatible with --metrics-out / "
-                 "--trace-out (the round-trip compares two bare runs; span "
-                 "handles cannot cross a checkpoint)\n");
-    return 1;
-  }
   std::vector<std::unique_ptr<Telemetry>> telemetries;
   if (!metrics_out.empty() || !trace_out.empty()) {
     for (int i = 0; i < replications; ++i) {
       telemetries.push_back(std::make_unique<Telemetry>());
       if (!trace_out.empty()) {
-        telemetries.back()->tracer.Enable(
-            ParseTraceCategories(flags.Get("trace-categories", "")));
+        telemetries.back()->tracer.Enable(ParseTraceCategories(categories));
       }
     }
   }
@@ -1111,22 +599,13 @@ int main(int argc, char** argv) {
     uint64_t window_bytes = 0;
     bool roundtrip_ok = true;
   };
-  const double zipf_skew = profile.zipf_skew;
   const auto reps = RunSweep<Replication>(
       static_cast<size_t>(replications), sweep_threads, [&](size_t i) {
-        const uint64_t rep_seed = SweepSeed(seed, i);
-        TraceProfile rep_profile = name == "iops" ? TraceProfile::Iops(rep_seed)
-                                   : name == "volume"
-                                       ? TraceProfile::Volume(rep_seed)
-                                       : TraceProfile::Typical(rep_seed);
-        rep_profile.zipf_skew = zipf_skew;
-        GeneratedTrace trace;
-        if (csv_trace) {
-          trace = shared_trace;
-          rep_profile.name = "csv";
-        } else {
-          trace = GenerateTrace(rep_profile, platters);
-        }
+        const uint64_t rep_seed = SweepSeed(config.seed, i);
+        const TraceProfile rep_profile = twin.Profile(rep_seed);
+        const GeneratedTrace trace =
+            trace_csv.empty() ? GenerateTrace(rep_profile, config.num_info_platters)
+                              : shared_trace;
         LibrarySimConfig rep_config = config;
         rep_config.seed = rep_seed;
         rep_config.measure_start = trace.measure_start;
@@ -1152,7 +631,7 @@ int main(int argc, char** argv) {
           rep.result = SimulateLibrary(rep_config, trace.requests);
         }
         rep.config = rep_config;
-        rep.profile_name = rep_profile.name;
+        rep.profile_name = trace_csv.empty() ? rep_profile.name : "csv";
         rep.window_bytes = trace.window_bytes;
         return rep;
       });
@@ -1161,15 +640,9 @@ int main(int argc, char** argv) {
     for (size_t i = 1; i < telemetries.size(); ++i) {
       telemetries[0]->metrics.Merge(telemetries[i]->metrics);
     }
-    if (!metrics_out.empty()) {
-      std::ofstream out(metrics_out);
-      out << (EndsWith(metrics_out, ".json")
-                  ? telemetries[0]->metrics.ToJson()
-                  : telemetries[0]->metrics.ToPrometheusText());
-      if (!out) {
-        std::fprintf(stderr, "error: could not write %s\n", metrics_out.c_str());
-        return 1;
-      }
+    if (!metrics_out.empty() && !WriteMetrics(metrics_out, telemetries[0]->metrics)) {
+      std::fprintf(stderr, "error: could not write %s\n", metrics_out.c_str());
+      return 1;
     }
     if (!trace_out.empty()) {
       std::ofstream out(trace_out);
@@ -1182,7 +655,6 @@ int main(int argc, char** argv) {
   }
 
   const double slo = 15.0 * 3600.0;
-  const bool json = flags.Has("json");
   if (json && replications > 1) {
     std::printf("[\n");
   }
@@ -1192,14 +664,14 @@ int main(int argc, char** argv) {
       if (i != 0) {
         std::printf(",\n");
       }
-      PrintJsonReport(rep.result, rep.config, rep.profile_name, policy,
+      PrintJsonReport(rep.result, rep.config, rep.profile_name, twin.policy,
                       rep.window_bytes, slo, threads);
     } else {
       if (replications > 1) {
         std::printf("%s=== replication %zu, seed %llu ===\n", i == 0 ? "" : "\n",
-                    i, static_cast<unsigned long long>(rep.config.seed));
+                    i, ull(rep.config.seed));
       }
-      PrintTextReport(rep.result, rep.config, rep.profile_name, policy,
+      PrintTextReport(rep.result, rep.config, rep.profile_name, twin.policy,
                       rep.window_bytes, slo);
     }
   }
@@ -1214,8 +686,7 @@ int main(int argc, char** argv) {
         std::fprintf(stderr,
                      "checkpoint round-trip DIVERGED (seed %llu, snapshot at "
                      "%g s)\n",
-                     static_cast<unsigned long long>(rep.config.seed),
-                     checkpoint_at);
+                     ull(rep.config.seed), checkpoint_at);
       }
     }
     if (!all_ok) {
@@ -1225,4 +696,19 @@ int main(int argc, char** argv) {
                  checkpoint_at);
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return silica::RunCli([&] {
+    const silica::CommandLine line(argc, argv);
+    if (line.Has("mttdl")) {
+      return RunMttdl(line);
+    }
+    if (line.Has("federation")) {
+      return RunFederation(line);
+    }
+    return RunTwin(line);
+  });
 }
