@@ -3398,10 +3398,6 @@ void Sim::Prologue() {
       }
     }
     if (config_.fleet_loss_fraction != 0.0) {
-      if (config_.fleet_loss_fraction < 0.0 ||
-          config_.fleet_loss_fraction >= 1.0) {
-        throw std::invalid_argument("Sim: fleet_loss_fraction must be in [0, 1)");
-      }
       // Highest ids first, so survivors keep their partition assignments.
       const int lost = static_cast<int>(config_.fleet_loss_fraction *
                                         static_cast<double>(shuttles_.size()));
@@ -3411,13 +3407,12 @@ void Sim::Prologue() {
       }
     }
     if (config_.blackout_partition >= 0) {
-      if (!partitioned() || config_.blackout_partition >= partitioner_->size()) {
-        throw std::invalid_argument(
-            "Sim: blackout_partition needs the partitioned policy and a valid "
-            "partition index");
-      }
-      if (config_.blackout_duration_s <= 0.0) {
-        throw std::invalid_argument("Sim: blackout_duration_s must be > 0");
+      // The validator checked the policy and the window; the partition count
+      // is only known once the partitioner exists.
+      if (config_.blackout_partition >= partitioner_->size()) {
+        throw std::invalid_argument("Sim: blackout_partition " +
+                                    std::to_string(config_.blackout_partition) +
+                                    " is not a partition index");
       }
       // The fire bodies read the partition's (immutable) drive list directly,
       // so the events carry no payload.
