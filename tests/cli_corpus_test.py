@@ -6,7 +6,7 @@
     cli_corpus_test.py --build-dir=build config   # rejected configs exit 2
 
 `corpus` collects every invocation quoted in README.md, EXPERIMENTS.md,
-DESIGN.md, tools/check.sh and .claude/skills/verify/SKILL.md (fenced blocks,
+DESIGN.md, tools/check.sh and the verify notes (*/skills/verify/SKILL.md; fenced blocks,
 inline code spans and shell lines, with backslash continuations joined) and
 re-runs each with --help appended: the binary checks the whole line against
 its flag table before it prints the table, so nothing is simulated. `bad`
@@ -21,7 +21,7 @@ import sys
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
 DOCS = ["README.md", "EXPERIMENTS.md", "DESIGN.md",
-        ".claude/skills/verify/SKILL.md"]
+        *(str(p.relative_to(REPO)) for p in REPO.glob("*/skills/verify/SKILL.md"))]
 SCRIPTS = ["tools/check.sh"]
 COMMAND = re.compile(
     r"(?:^|[\s(`])(?:[\w./-]*/)?(silica_sim|silica_trace|bench_[a-z0-9_]+)"
